@@ -82,9 +82,14 @@ def default_seed_grid(width: int, height: int) -> InitShape:
     """The default initializer: a 4x4 grid of circles of radius min(w, h)/10.
 
     Multiple seeds let the region models latch onto disconnected structures;
-    a single shrinking contour easily misses them.
+    a single shrinking contour easily misses them. The outer circles sit
+    min(w, h)/8 from the edges and the last pixel is at w - 1, so below
+    120 px the radius shrinks to keep the BORDER_MARGIN that signed_distance
+    checks; below 24 px no radius fits.
     """
-    return InitShape.circle_grid(4, 4, min(width, height) / 10.0, width, height)
+    n = min(width, height)
+    radius = min(n / 10.0, n / 8.0 - (BORDER_MARGIN + 1.0))
+    return InitShape.circle_grid(4, 4, radius, width, height)
 
 
 def signed_distance(shape: InitShape, width: int, height: int) -> ScalarField:
@@ -208,21 +213,13 @@ def extract_contour(phi: ScalarField) -> Contour:
     if inside.all() or not inside.any():
         return Contour()
 
-    # subpixel crossing point on each sign-change edge, keyed once so the
-    # same float vertex is shared by both adjacent cells
-    verts: dict = {}
-
     def crossing(key):
-        v = verts.get(key)
-        if v is not None:
-            return v
+        # subpixel crossing point on a sign-change edge
         kind, x, y = key
         a = d[y, x]
         b = d[y, x + 1] if kind == "h" else d[y + 1, x]
         t = a / (a - b)
-        v = (x + t, y) if kind == "h" else (x, y + t)
-        verts[key] = v
-        return v
+        return (x + t, y) if kind == "h" else (x, y + t)
 
     # cells whose four corners mix signs
     cell = (
@@ -254,37 +251,23 @@ def extract_contour(phi: ScalarField) -> Contour:
         for e1, e2 in pairs:
             link(_edge_key(e1, x, y), _edge_key(e2, x, y))
 
-    # walk the adjacency graph into chains; open chains (border hits) have
-    # degree-1 endpoints and are traced first
-    visited = set()
+    # an edge belongs to at most two cells and a cell's segments use disjoint
+    # edges, so every crossing has at most two neighbours and the graph is
+    # paths and cycles. Paths (border hits) start at their degree-1 ends,
+    # which are walked first; a chain that starts at degree 2 is a cycle.
+    seen = set()
     loops, closed = [], []
-
-    def walk(start, first):
-        chain = [start, first]
-        visited.add(frozenset((start, first)))
-        prev, cur = start, first
-        while True:
-            nexts = [k for k in links[cur] if frozenset((cur, k)) not in visited]
-            if not nexts:
-                return chain, False
-            nxt = nexts[0]
-            visited.add(frozenset((cur, nxt)))
-            if nxt == start:
-                return chain, True
-            chain.append(nxt)
-            prev, cur = cur, nxt
-
-    endpoints = [k for k, nbrs in links.items() if len(nbrs) == 1]
-    seeds = endpoints + [k for k in links if len(links[k]) > 1]
-    for seed in seeds:
-        for nbr in links[seed]:
-            if frozenset((seed, nbr)) in visited:
-                continue
-            chain, is_closed = walk(seed, nbr)
-            pts = np.array([crossing(k) for k in chain], dtype=np.float64)
-            if len(pts) >= 3:
-                loops.append(pts)
-                closed.append(is_closed)
+    for start in sorted(links, key=lambda k: len(links[k])):
+        if start in seen:
+            continue
+        seen.add(start)
+        chain = [start]
+        while nexts := [k for k in links[chain[-1]] if k not in seen]:
+            seen.add(nexts[0])
+            chain.append(nexts[0])
+        if len(chain) >= 3:
+            loops.append(np.array([crossing(k) for k in chain], dtype=np.float64))
+            closed.append(len(links[start]) == 2)
 
     return Contour(loops=loops, closed=closed)
 

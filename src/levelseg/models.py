@@ -2,8 +2,12 @@
 models: geodesic active contour, Chan-Vese with a weighted inside term, and
 the modified Chan-Vese whose inside target is frozen at alpha * max(u0).
 
+The two region models share one right-hand side (region_rhs) and one energy
+(energy_region); region_terms is the only place where they differ.
+
 Intensities are expected in normalized [0, 1] units for end-to-end runs
-(see imageio.normalize_field); the operations themselves are scale-agnostic.
+(min-max normalize u0 to [0, 1]); the operations themselves are
+scale-agnostic.
 """
 
 from __future__ import annotations
@@ -82,7 +86,8 @@ class RegionStats:
     """Region constants of the current partition: c1 inside, c2 outside,
     the pixel counts of {phi >= 0} and {phi < 0}, and the global intensity
     maximum used by the modified model's inside target. Empty regions fall
-    back to the global mean and are flagged.
+    back to the global mean and are flagged. region_terms turns them into the
+    constants a region model steps with.
 
     region_averages gives c1 and c2 as plain means over {phi >= 0} and
     {phi < 0}; weighted_averages replaces them with the H_eps-weighted means
@@ -98,16 +103,20 @@ class RegionStats:
     empty_outside: bool = False
 
 
+def _check_dims(u0: ScalarField, phi: ScalarField) -> None:
+    if u0.data.shape != phi.data.shape:
+        raise ValueError(
+            f"image and level set dimensions differ: {u0.data.shape} vs {phi.data.shape}"
+        )
+
+
 def region_averages(u0: ScalarField, phi: ScalarField) -> RegionStats:
     """Mean intensity inside {phi >= 0} and outside {phi < 0}.
 
     A transiently empty region gets the global mean instead of NaN so the
     evolution can continue; the flag records the degeneracy.
     """
-    if u0.data.shape != phi.data.shape:
-        raise ValueError(
-            f"image and level set dimensions differ: {u0.data.shape} vs {phi.data.shape}"
-        )
+    _check_dims(u0, phi)
     u = u0.data
     inside = phi.data >= 0.0
     n_in = int(inside.sum())
@@ -147,11 +156,15 @@ def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     return replace(stats, c1=c1, c2=c2), H
 
 
-def _check_dims(u0: ScalarField, phi: ScalarField) -> None:
-    if u0.data.shape != phi.data.shape:
-        raise ValueError(
-            f"image and level set dimensions differ: {u0.data.shape} vs {phi.data.shape}"
-        )
+def region_terms(model: str, stats: RegionStats,
+                 params: EvolveParams) -> tuple[float, float, float]:
+    """(inside target, outside constant, lambda) of a region model: Chan-Vese
+    fits both constants, (c1, c2, lam); the modified model freezes the inside
+    target at alpha * max(u0) and drops the weight, (alpha * M, c2, 1).
+    """
+    if model == "modified":
+        return params.alpha * stats.max_intensity, stats.c2, 1.0
+    return stats.c1, stats.c2, params.lam
 
 
 def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
@@ -176,7 +189,7 @@ def chan_vese_rhs(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     delta_eps(phi) * (mu*kappa - nu - lam*(u0-c1)^2 + (u0-c2)^2).
     """
     _check_dims(u0, phi)
-    return phi.like(region_rhs(u0, phi, stats.c1, stats.c2, params.lam, params))
+    return phi.like(region_rhs(u0, phi, *region_terms("chan_vese", stats, params), params))
 
 
 def modified_rhs(u0: ScalarField, phi: ScalarField, stats: RegionStats,
@@ -186,8 +199,7 @@ def modified_rhs(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     the contour is pulled toward high-intensity structure only.
     """
     _check_dims(u0, phi)
-    target = params.alpha * stats.max_intensity
-    return phi.like(region_rhs(u0, phi, target, stats.c2, 1.0, params))
+    return phi.like(region_rhs(u0, phi, *region_terms("modified", stats, params), params))
 
 
 def geodesic_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> ScalarField:
@@ -211,7 +223,14 @@ def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams) -
     return g.data * kappa * gp.magnitude() + gg.dx * gp.dx + gg.dy * gp.dy
 
 
-def _region_energy(u0, phi, inside_target, outside_const, lam, params, H) -> float:
+def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
+                  outside_const: float, lam: float, params: EvolveParams,
+                  H: Optional[np.ndarray] = None) -> float:
+    """Discrete energy shared by both region models: data terms against the
+    inside target and the outside constant, the inside one weighted by lam,
+    plus length (mu) and area (nu) penalties, cell area h^2. ``H`` is
+    heaviside_eps(phi, eps) if the caller has it already.
+    """
     u = u0.data
     h2 = phi.spacing * phi.spacing
     if H is None:
@@ -231,23 +250,18 @@ def _region_energy(u0, phi, inside_target, outside_const, lam, params, H) -> flo
 
 def energy_chan_vese(u0: ScalarField, phi: ScalarField, stats: RegionStats,
                      params: EvolveParams, H: Optional[np.ndarray] = None) -> float:
-    """Discrete weighted Chan-Vese energy: data terms against (c1, c2) plus
-    length (mu) and area (nu) penalties, cell area h^2. ``H`` is
-    heaviside_eps(phi, eps) if the caller has it already.
-    """
+    """energy_region with the Chan-Vese constants (c1, c2) and weight lam."""
     _check_dims(u0, phi)
-    return _region_energy(u0, phi, stats.c1, stats.c2, params.lam, params, H)
+    return energy_region(u0, phi, *region_terms("chan_vese", stats, params), params, H)
 
 
 def energy_modified(u0: ScalarField, phi: ScalarField, stats: RegionStats,
                     params: EvolveParams, H: Optional[np.ndarray] = None) -> float:
-    """Discrete energy of the modified model: inside constant frozen at
-    alpha * max(u0), outside constant c2, no lambda weighting. ``H`` is
-    heaviside_eps(phi, eps) if the caller has it already.
+    """energy_region of the modified model: inside constant frozen at
+    alpha * max(u0), outside constant c2, no lambda weighting.
     """
     _check_dims(u0, phi)
-    target = params.alpha * stats.max_intensity
-    return _region_energy(u0, phi, target, stats.c2, 1.0, params, H)
+    return energy_region(u0, phi, *region_terms("modified", stats, params), params, H)
 
 
 def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> float:

@@ -2,6 +2,8 @@
 updates with per-iteration region constants, periodic reinitialization,
 an energy trace, and a windowed stopping rule on the motion of the zero level.
 
+The loop has one model branch: the geodesic flow, or the region model whose
+constants models.region_terms gives for Chan-Vese or the modified model.
 The region models step with the H_eps-weighted constants that minimize their
 energy at fixed phi, so the traced energy does not rise between
 reinitializations. The loop calls the array kernels of the models under
@@ -20,37 +22,43 @@ import numpy as np
 
 from .grid import ScalarField, gaussian_smooth
 from .levelset import Contour, extract_contour, mask_inside, reinitialize
-# chan_vese_rhs, modified_rhs and geodesic_rhs are not called here; they stay
+# the per-model wrappers chan_vese_rhs, modified_rhs, geodesic_rhs,
+# energy_chan_vese and energy_modified are not called here; they stay
 # importable from this module, where perfbench/tracer.py looks them up
 from .models import (  # noqa: F401
     MODEL_NAMES,
     EvolveParams,
     RegionStats,
+    _check_dims,
     chan_vese_rhs,
     energy_chan_vese,
     energy_geodesic,
     energy_modified,
+    energy_region,
     geodesic_flow_rhs,
     geodesic_rhs,
     modified_rhs,
     region_averages,
     region_rhs,
+    region_terms,
     weighted_averages,
 )
 
 # an iteration is still when the zero crossings on the grid edges moved less
 # than stop_tol px on average; this many still iterations in a row converge
 STOP_WINDOW = 5
+# region_terms decides lambda without looking at the region constants
+_NO_STATS = RegionStats(c1=0.0, c2=0.0, n_inside=0, n_outside=0, max_intensity=0.0)
 
 
 @dataclass
 class TraceEntry:
-    """One row of the energy trace. c_inside is c1 for Chan-Vese, the fixed
-    alpha*M target for the modified model, and None for geodesic runs;
-    c_outside is c2, None for geodesic runs. c1 and c2 are the
-    H_eps-weighted means of models.weighted_averages, not the binary means
-    of region_averages. event marks reinitialization steps and the initial
-    dt clamp.
+    """One row of the energy trace. c_inside and c_outside are the first two
+    of models.region_terms: c1 for Chan-Vese or the fixed alpha*M target for
+    the modified model, then c2; both are None for geodesic runs. c1 and c2
+    are the H_eps-weighted means of models.weighted_averages, not the binary
+    means of region_averages. event marks reinitialization steps and the
+    initial dt clamp.
     """
 
     iteration: int
@@ -77,50 +85,29 @@ class SegmentationResult:
 def stability_dt(params: EvolveParams, model: str, spacing: float = 1.0) -> float:
     """Largest safe explicit step: dt * (4 mu / h^2 + max data term) <= 0.9
     for the region models (intensities normalized to [0, 1], so the data
-    term is bounded by max(lambda, 1) + |nu|), and dt <= 0.25 h^2 for the
-    geodesic flow.
+    term is bounded by max(lambda, 1) + |nu|, lambda from
+    models.region_terms), and dt <= 0.25 h^2 for the geodesic flow. This is
+    where evolve checks the model name.
     """
     if model not in MODEL_NAMES:
         raise ValueError(f"unknown model {model!r}, expected one of {MODEL_NAMES}")
     h2 = spacing * spacing
     if model == "geodesic":
         return 0.25 * h2
-    if model == "chan_vese":
-        data_max = max(params.lam, 1.0) + abs(params.nu)
-    else:
-        data_max = 1.0 + abs(params.nu)
-    return 0.9 / (4.0 * params.mu / h2 + data_max)
-
-
-def _region_terms(model, stats, params):
-    """(inside constant, outside constant, lambda) of a region model."""
-    if model == "modified":
-        return params.alpha * stats.max_intensity, stats.c2, 1.0
-    return stats.c1, stats.c2, params.lam
-
-
-def _rhs(model, u0, phi, stats, params) -> np.ndarray:
-    if model == "geodesic":
-        return geodesic_flow_rhs(u0, phi, params)
-    return region_rhs(u0, phi, *_region_terms(model, stats, params), params)
+    lam = region_terms(model, _NO_STATS, params)[2]
+    return 0.9 / (4.0 * params.mu / h2 + max(lam, 1.0) + abs(params.nu))
 
 
 def _stats_and_energy(model, u0, u_model, phi, params):
-    """Region stats of phi and the energy at phi. The region models get the
+    """Region stats of phi, the region_terms of a region model (None for the
+    geodesic flow) and the energy at phi. The region models get the
     H_eps-weighted constants, and their energy reuses that H_eps."""
     stats = region_averages(u0, phi)
     if model == "geodesic":
-        return stats, energy_geodesic(u_model, phi, params)
+        return stats, None, energy_geodesic(u_model, phi, params)
     stats, H = weighted_averages(u0, phi, stats, params.eps)
-    if model == "chan_vese":
-        return stats, energy_chan_vese(u0, phi, stats, params, H=H)
-    return stats, energy_modified(u0, phi, stats, params, H=H)
-
-
-def _trace_cs(model, stats, params):
-    if model == "geodesic":
-        return None, None
-    return _region_terms(model, stats, params)[:2]
+    terms = region_terms(model, stats, params)
+    return stats, terms, energy_region(u0, phi, *terms, params, H=H)
 
 
 def _crossings(phi: np.ndarray) -> list:
@@ -181,21 +168,16 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
     (grid units). For the geodesic model u0 is pre-smoothed here before its
     gradients feed the edge detector.
     """
-    if model not in MODEL_NAMES:
-        raise ValueError(f"unknown model {model!r}, expected one of {MODEL_NAMES}")
     params.validate()
-    if u0.data.shape != phi0.data.shape:
-        raise ValueError(
-            f"image and level set dimensions differ: {u0.data.shape} vs {phi0.data.shape}"
-        )
+    _check_dims(u0, phi0)
     if u0.data.min() < -1e-9 or u0.data.max() > 1.0 + 1e-9:
         raise ValueError(
-            "u0 must be normalized to [0, 1] (see imageio.normalize_field); "
+            "u0 must be normalized to [0, 1] (min-max normalize it first); "
             f"got range [{u0.data.min():.4g}, {u0.data.max():.4g}]"
         )
 
-    u_model = gaussian_smooth(u0) if model == "geodesic" else u0
     bound = stability_dt(params, model, u0.spacing)
+    u_model = gaussian_smooth(u0) if model == "geodesic" else u0
     if params.dt is None:
         dt, clamped = bound, False
     elif params.dt > bound:
@@ -211,13 +193,16 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
 
     # an overflowing phi must reach the finiteness check as NaN/Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stats, energy = _stats_and_energy(model, u0, u_model, phi, params)
-        c_in, c_out = _trace_cs(model, stats, params)
-        trace = [TraceEntry(0, energy, c_in, c_out, "clamp" if clamped else "step")]
+        stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params)
+        trace = [TraceEntry(0, energy, *(terms or (None, None))[:2],
+                            "clamp" if clamped else "step")]
         crossings = _crossings(phi.data)
 
         for it in range(1, params.max_iters + 1):
-            new_data = phi.data + dt * _rhs(model, u_model, phi, stats, params)
+            # no name holds the rhs, so that it is freed before reinit and energy
+            new_data = phi.data + dt * (
+                geodesic_flow_rhs(u_model, phi, params) if terms is None
+                else region_rhs(u0, phi, *terms, params))
             if not np.all(np.isfinite(new_data)):
                 stop_reason = "stalled"
                 diagnostics = (
@@ -230,9 +215,8 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
             if params.reinit_every > 0 and it % params.reinit_every == 0:
                 phi = reinitialize(phi, params.reinit_sweeps)
                 event = "reinit"
-            stats, energy = _stats_and_energy(model, u0, u_model, phi, params)
-            c_in, c_out = _trace_cs(model, stats, params)
-            trace.append(TraceEntry(it, energy, c_in, c_out, event))
+            stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params)
+            trace.append(TraceEntry(it, energy, *(terms or (None, None))[:2], event))
             iterations_run = it
 
             previous, crossings = crossings, _crossings(phi.data)

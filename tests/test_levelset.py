@@ -74,6 +74,16 @@ class TestSignedDistance:
         assert shape.radius == pytest.approx(12.8)
         signed_distance(shape, 128, 128)  # fits with margin
 
+    @pytest.mark.parametrize("width, height", [(64, 64), (100, 100), (64, 200), (300, 90)])
+    def test_default_seed_grid_fits_small_grids(self, width, height):
+        shape = default_seed_grid(width, height)
+        assert shape.radius > 0
+        signed_distance(shape, width, height)  # fits with margin
+
+    def test_default_seed_grid_too_small(self):
+        with pytest.raises(ValueError):
+            signed_distance(default_seed_grid(24, 24), 24, 24)
+
 
 class TestMaskInside:
     def test_uniform_fields(self):
@@ -144,6 +154,18 @@ class TestExtractContour:
         contour = extract_contour(phi)
         assert len(contour.loops) == 4
         assert all(contour.closed)
+
+    def test_border_chain_is_open_and_walked_first(self):
+        x = np.arange(20, dtype=float)
+        phi = signed_distance(InitShape.circle(13, 8, 4), 20, 16).data
+        phi = np.maximum(phi, 4.5 - x)  # inside band along the left border
+        contour = extract_contour(ScalarField(phi))
+        assert contour.closed == [False, True]
+        line, loop = contour.loops
+        assert np.all(line[:, 0] == 4.5)
+        assert np.all(np.abs(np.diff(line[:, 1])) == 1.0)  # one vertex per row, in order
+        steps = np.hypot(*np.diff(np.vstack([loop, loop[:1]]), axis=0).T)
+        assert steps.max() <= np.sqrt(2.0)  # consecutive vertices share a cell
 
 
 class TestReinitialize:
