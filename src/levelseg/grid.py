@@ -3,7 +3,8 @@
 Everything downstream (contour evolution, energies, reinitialization)
 consumes these primitives: gradients, mean curvature of level sets, the
 regularized Heaviside/delta pair, and the gradient-based edge detector.
-All operations are pure and deterministic.
+All operations are deterministic; the only state they write is a Scratch
+work set that the caller passes in.
 """
 
 from __future__ import annotations
@@ -84,15 +85,39 @@ class VectorField:
         return self.dx.shape[0]
 
     def magnitude(self) -> np.ndarray:
-        return np.hypot(self.dx, self.dy)
+        """sqrt(dx^2 + dy^2): within 1 ulp of np.hypot, which is 2-3x slower
+        on an image's gradients, except below 1e-154, where the squares
+        underflow. np.hypot takes over where a square overflows.
+        """
+        with np.errstate(over="ignore"):
+            m = self.dx * self.dx
+            m += self.dy * self.dy
+        np.sqrt(m, out=m)
+        if not np.isfinite(m.max(initial=0.0)):
+            return np.hypot(self.dx, self.dy)
+        return m
+
+
+def _diff_rows(d: np.ndarray, out: np.ndarray, h: float) -> None:
+    # np.gradient along axis 0 with uniform spacing h, written into out
+    np.subtract(d[2:], d[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * h
+    np.subtract(d[1], d[0], out=out[0])
+    np.subtract(d[-1], d[-2], out=out[-1])
+    out[0] /= h
+    out[-1] /= h
 
 
 def gradient(f: ScalarField) -> VectorField:
     """First derivatives: central differences at interior pixels, one-sided
     at the borders, divided by the grid spacing. x runs along columns,
-    y along rows.
+    y along rows. Bit-identical to np.gradient(f.data, f.spacing), but
+    written straight into the two outputs without temporaries.
     """
-    dy, dx = np.gradient(f.data, f.spacing)
+    d = f.data
+    dx, dy = np.empty_like(d), np.empty_like(d)
+    _diff_rows(d, dy, f.spacing)
+    _diff_rows(d.T, dx.T, f.spacing)
     return VectorField(dx=dx, dy=dy, spacing=f.spacing)
 
 
@@ -111,6 +136,31 @@ def edge_detector(z):
     return out if out.ndim else float(out)
 
 
+class Scratch:
+    """Work arrays of the per-step stencils on one grid shape: ``padded``,
+    (h+2) x (w+2), and five (h, w) ``arrays``. evolve makes one per run and
+    passes it to curvature_array and levelset.reinitialize, which never run
+    at the same time, so a step reuses the same memory instead of faulting
+    in fresh temporaries. No kernel returns one of these arrays. A set is
+    for one caller at a time; concurrent runs each need their own.
+    """
+
+    def __init__(self, shape: tuple):
+        h, w = shape
+        self.shape = (h, w)
+        self.padded = np.empty((h + 2, w + 2))
+        self.arrays = tuple(np.empty((h, w)) for _ in range(5))
+
+    @classmethod
+    def ensure(cls, scratch: "Scratch | None", shape: tuple) -> "Scratch":
+        """``scratch``, or a fresh set when it is None; the shapes must agree."""
+        if scratch is None:
+            return cls(shape)
+        if scratch.shape != tuple(shape):
+            raise ValueError(f"scratch is for shape {scratch.shape}, not {tuple(shape)}")
+        return scratch
+
+
 def curvature(phi: ScalarField, eta: float = CURVATURE_ETA) -> ScalarField:
     """Mean curvature of the level sets, div(grad(phi)/|grad(phi)|), via the
     second-order stencil
@@ -125,25 +175,63 @@ def curvature(phi: ScalarField, eta: float = CURVATURE_ETA) -> ScalarField:
 
 
 def curvature_array(phi: np.ndarray, spacing: float = 1.0,
-                    eta: float = CURVATURE_ETA) -> np.ndarray:
-    """The stencil of ``curvature`` on a raw array. The result is not
+                    eta: float = CURVATURE_ETA, *,
+                    scratch: Scratch | None = None) -> np.ndarray:
+    """The stencil of ``curvature`` on a raw array, computed in ``scratch``
+    (a fresh set when None) and returned in a new array. The power 3/2 is
+    taken as den * sqrt(den), within 1 ulp of den ** 1.5; every other
+    operation is done in the order the formula reads. The result is not
     validated: a phi so steep that the stencil overflows gives NaN or Inf,
     which the caller checks for.
     """
     if not (eta > 0):
         raise ValueError(f"eta must be positive, got {eta}")
     h = spacing
-    p = np.pad(phi, 1, mode="edge")
+    s = Scratch.ensure(scratch, phi.shape)
+    p = s.padded
+    # edge-replicated border, as np.pad(phi, 1, mode="edge")
+    p[1:-1, 1:-1] = phi
+    p[0, 1:-1] = phi[0]
+    p[-1, 1:-1] = phi[-1]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
     c = p[1:-1, 1:-1]
-    px = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h)
-    py = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h)
-    pxx = (p[1:-1, 2:] - 2.0 * c + p[1:-1, :-2]) / (h * h)
-    pyy = (p[2:, 1:-1] - 2.0 * c + p[:-2, 1:-1]) / (h * h)
-    pxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h * h)
-    num = pxx * py * py - 2.0 * px * py * pxy + pyy * px * px
-    den = np.power(px * px + py * py + eta, 1.5)
+    left, right, up, down = p[1:-1, :-2], p[1:-1, 2:], p[:-2, 1:-1], p[2:, 1:-1]
+    px, py, pxx, pyy, pxy = s.arrays
+    np.subtract(right, left, out=px)
+    px /= 2.0 * h
+    np.subtract(down, up, out=py)
+    py /= 2.0 * h
+    for second, plus, minus in ((pxx, right, left), (pyy, down, up)):
+        np.multiply(c, 2.0, out=second)
+        np.subtract(plus, second, out=second)
+        second += minus
+        second /= h * h
+    np.subtract(p[2:, 2:], p[2:, :-2], out=pxy)
+    pxy -= p[:-2, 2:]
+    pxy += p[:-2, :-2]
+    pxy /= 4.0 * h * h
+
+    out = np.multiply(px, 2.0)
+    # num = pxx*py*py - 2*px*py*pxy + pyy*px*px, built in pxx
+    out *= py
+    out *= pxy
+    pxx *= py
+    pxx *= py
+    pxx -= out
+    pyy *= px
+    pyy *= px
+    pxx += pyy
+    # den = px*px + py*py + eta, built in pyy
+    np.multiply(px, px, out=pyy)
+    np.multiply(py, py, out=pxy)
+    pyy += pxy
+    pyy += eta
+    np.sqrt(pyy, out=out)
+    out *= pyy
+    np.divide(pxx, out, out=out)
     bound = 1.0 / h
-    return np.clip(num / den, -bound, bound)
+    return np.clip(out, -bound, bound, out=out)
 
 
 def heaviside_eps(z, eps):

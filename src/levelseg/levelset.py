@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField
+from .grid import ScalarField, Scratch
 
 BORDER_MARGIN = 2.0  # init shapes must keep this many pixels of clearance
 
@@ -119,36 +119,66 @@ def mask_inside(phi: ScalarField) -> np.ndarray:
     return phi.data >= 0.0
 
 
-def reinitialize(phi: ScalarField, iterations: int = 10) -> ScalarField:
+def _godunov_term(b: np.ndarray, minus_f: np.ndarray, low: np.ndarray,
+                  negative: np.ndarray) -> None:
+    # max(b, -f, 0)^2 where phi0 >= 0 and min(b, -f, 0)^2 where phi0 < 0,
+    # written into minus_f; low is work space
+    np.minimum(minus_f, b, out=low)
+    np.minimum(low, 0.0, out=low)
+    np.maximum(minus_f, b, out=minus_f)
+    np.maximum(minus_f, 0.0, out=minus_f)
+    np.copyto(minus_f, low, where=negative)
+    minus_f *= minus_f
+
+
+def reinitialize(phi: ScalarField, iterations: int = 10, *,
+                 scratch: Scratch | None = None) -> ScalarField:
     """Relax phi toward a signed distance function without moving the zero
     level: iterate d_t = S(phi0) (1 - |grad d|) with Godunov upwind
     differences and the smoothed sign S = phi0 / sqrt(phi0^2 + h^2).
+
+    The sweeps work in ``scratch`` (a fresh set when None) and return a new
+    field. The forward difference f of a pixel is the backward difference b
+    of the next one (0 past the last), so only b is stored, and the Godunov
+    term max(max(b, 0)^2, min(f, 0)^2) is taken as max(b, -f, 0)^2 (inside;
+    min(b, -f, 0)^2 outside), which is exact for squares of non-negative
+    numbers.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     h = phi.spacing
     d0 = phi.data
-    sign = d0 / np.sqrt(d0 * d0 + h * h)
-    positive = d0 > 0
+    dts, bx, by, grad, low = Scratch.ensure(scratch, d0.shape).arrays
     negative = d0 < 0
+    zero = d0 == 0
+    # dt * S(phi0) with dt = h / 2, once per call
+    np.multiply(d0, d0, out=dts)
+    dts += h * h
+    np.sqrt(dts, out=dts)
+    np.divide(d0, dts, out=dts)
+    dts *= 0.5 * h
     d = d0.copy()
-    dt = 0.5 * h
     for _ in range(iterations):
-        p = np.pad(d, 1, mode="edge")
-        bx = (d - p[1:-1, :-2]) / h   # backward x
-        fx = (p[1:-1, 2:] - d) / h    # forward x
-        by = (d - p[:-2, 1:-1]) / h   # backward y
-        fy = (p[2:, 1:-1] - d) / h    # forward y
-        g_pos = np.sqrt(
-            np.maximum(np.maximum(bx, 0.0) ** 2, np.minimum(fx, 0.0) ** 2)
-            + np.maximum(np.maximum(by, 0.0) ** 2, np.minimum(fy, 0.0) ** 2)
-        )
-        g_neg = np.sqrt(
-            np.maximum(np.minimum(bx, 0.0) ** 2, np.maximum(fx, 0.0) ** 2)
-            + np.maximum(np.minimum(by, 0.0) ** 2, np.maximum(fy, 0.0) ** 2)
-        )
-        grad = np.where(positive, g_pos, np.where(negative, g_neg, 0.0))
-        d = d - dt * sign * (grad - 1.0)
+        # backward differences; the first column and row replicate the edge
+        np.subtract(d[:, 1:], d[:, :-1], out=bx[:, 1:])
+        bx[:, 0] = 0.0
+        bx /= h
+        np.subtract(d[1:], d[:-1], out=by[1:])
+        by[0] = 0.0
+        by /= h
+        # -f: the next pixel's b, negated; 0 past the last column and row
+        np.negative(bx[:, 1:], out=grad[:, :-1])
+        grad[:, -1] = 0.0
+        _godunov_term(bx, grad, low, negative)
+        np.negative(by[1:], out=bx[:-1])
+        bx[-1] = 0.0
+        _godunov_term(by, bx, low, negative)
+        grad += bx
+        np.sqrt(grad, out=grad)
+        np.copyto(grad, 0.0, where=zero)
+        grad -= 1.0
+        grad *= dts
+        d -= grad
     return phi.like(d)
 
 

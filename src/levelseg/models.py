@@ -19,6 +19,7 @@ import numpy as np
 
 from .grid import (
     ScalarField,
+    Scratch,
     curvature,  # noqa: F401  not called here; perfbench/tracer.py looks it up in this module
     curvature_array,
     delta_eps,
@@ -151,8 +152,10 @@ def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     w_in = H.ravel()
     w_out = 1.0 - w_in
     sum_in, sum_out = float(w_in.sum()), float(w_out.sum())
-    c1 = float(u @ w_in) / sum_in if sum_in > 0 else float(u.mean())
-    c2 = float(u @ w_out) / sum_out if sum_out > 0 else float(u.mean())
+    # einsum, not the @ of a threaded BLAS, whose threads spin on a
+    # vector this short
+    c1 = float(np.einsum("i,i->", u, w_in)) / sum_in if sum_in > 0 else float(u.mean())
+    c2 = float(np.einsum("i,i->", u, w_out)) / sum_out if sum_out > 0 else float(u.mean())
     return replace(stats, c1=c1, c2=c2), H
 
 
@@ -168,19 +171,32 @@ def region_terms(model: str, stats: RegionStats,
 
 
 def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
-               outside_const: float, lam: float, params: EvolveParams) -> np.ndarray:
+               outside_const: float, lam: float, params: EvolveParams, *,
+               scratch: Optional[Scratch] = None) -> np.ndarray:
     """Shared core of both region models as a raw array:
     delta_eps(phi) * (mu*kappa - nu - lam*(u0 - inside)^2 + (u0 - outside)^2).
 
-    The result is not validated, so a phi that overflows the curvature
-    stencil gives NaN or Inf here rather than an exception.
+    The terms are summed in that order into the new array that
+    curvature_array returns, with ``scratch`` (a fresh set when None) as
+    work space. The result is not validated, so a phi that overflows the
+    curvature stencil gives NaN or Inf here rather than an exception.
     """
     u = u0.data
-    kappa = curvature_array(phi.data, phi.spacing)
+    scratch = Scratch.ensure(scratch, u.shape)
+    rhs = curvature_array(phi.data, phi.spacing, scratch=scratch)
     delta = delta_eps(phi.data, params.eps)
-    din = u - inside_target
-    dout = u - outside_const
-    return delta * (params.mu * kappa - params.nu - lam * din * din + dout * dout)
+    dev, term = scratch.arrays[:2]
+    rhs *= params.mu
+    rhs -= params.nu
+    np.subtract(u, inside_target, out=dev)
+    np.multiply(dev, lam, out=term)
+    term *= dev
+    rhs -= term
+    np.subtract(u, outside_const, out=dev)
+    dev *= dev
+    rhs += dev
+    rhs *= delta
+    return rhs
 
 
 def chan_vese_rhs(u0: ScalarField, phi: ScalarField, stats: RegionStats,
@@ -212,15 +228,26 @@ def geodesic_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> Sca
     return phi.like(geodesic_flow_rhs(u0, phi, params))
 
 
-def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> np.ndarray:
-    """geodesic_rhs as a raw array, not validated, so that a phi that
-    overflows the curvature stencil gives NaN or Inf rather than an exception.
+def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
+                      scratch: Optional[Scratch] = None) -> np.ndarray:
+    """geodesic_rhs as a raw array, summed in the order of the formula into
+    the new array that curvature_array returns (``scratch`` is its work
+    space). Not validated, so that a phi that overflows the curvature
+    stencil gives NaN or Inf rather than an exception.
     """
     g = u0.like(edge_detector(gradient_magnitude(u0).data))
     gg = gradient(g)
     gp = gradient(phi)
-    kappa = curvature_array(phi.data, phi.spacing)
-    return g.data * kappa * gp.magnitude() + gg.dx * gp.dx + gg.dy * gp.dy
+    rhs = curvature_array(phi.data, phi.spacing, scratch=scratch)
+    rhs *= g.data
+    rhs *= gp.magnitude()
+    # gp is this function's own, so its components can take the products
+    px, py = gp.dx, gp.dy
+    px *= gg.dx
+    rhs += px
+    py *= gg.dy
+    rhs += py
+    return rhs
 
 
 def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import ScalarField, gaussian_smooth
+from .grid import ScalarField, Scratch, gaussian_smooth
 from .levelset import Contour, extract_contour, mask_inside, reinitialize
 # the per-model wrappers chan_vese_rhs, modified_rhs, geodesic_rhs,
 # energy_chan_vese and energy_modified are not called here; they stay
@@ -186,6 +186,8 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
         dt, clamped = params.dt, False
 
     phi = phi0.like(phi0.data.copy())
+    # work space of the curvature stencil and reinitialization for this run
+    scratch = Scratch(phi.data.shape)
     stop_reason = "max_iters"
     diagnostics = None
     streak = 0
@@ -199,10 +201,12 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
         crossings = _crossings(phi.data)
 
         for it in range(1, params.max_iters + 1):
-            # no name holds the rhs, so that it is freed before reinit and energy
-            new_data = phi.data + dt * (
-                geodesic_flow_rhs(u_model, phi, params) if terms is None
-                else region_rhs(u0, phi, *terms, params))
+            # the rhs becomes the new phi in place: rhs * dt + phi
+            new_data = (geodesic_flow_rhs(u_model, phi, params, scratch=scratch)
+                        if terms is None
+                        else region_rhs(u0, phi, *terms, params, scratch=scratch))
+            new_data *= dt
+            new_data += phi.data
             if not np.all(np.isfinite(new_data)):
                 stop_reason = "stalled"
                 diagnostics = (
@@ -213,7 +217,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
             event = "step"
             phi = phi.like(new_data)
             if params.reinit_every > 0 and it % params.reinit_every == 0:
-                phi = reinitialize(phi, params.reinit_sweeps)
+                phi = reinitialize(phi, params.reinit_sweeps, scratch=scratch)
                 event = "reinit"
             stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params)
             trace.append(TraceEntry(it, energy, *(terms or (None, None))[:2], event))

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levelseg.grid import (
+    CURVATURE_ETA,
     ScalarField,
+    Scratch,
+    VectorField,
     curvature,
+    curvature_array,
     delta_eps,
     edge_detector,
     gaussian_smooth,
@@ -85,6 +89,17 @@ class TestGradient:
         assert np.allclose(combo.dy, a * gf.dy + b * gg.dy, atol=1e-12)
 
 
+    @pytest.mark.parametrize("height, width, spacing", [
+        (3, 3, 1.0), (7, 11, 0.37), (64, 200, 2.5), (11, 7, 1.0),
+    ])
+    def test_equals_numpy_gradient_bit_for_bit(self, height, width, spacing):
+        f = np.random.default_rng(height * width).normal(size=(height, width)) * 7.0
+        dy, dx = np.gradient(f, spacing)
+        g = gradient(ScalarField(f, spacing))
+        assert g.dx.tobytes() == dx.tobytes()
+        assert g.dy.tobytes() == dy.tobytes()
+
+
 class TestGradientMagnitude:
     def test_constant_is_zero(self):
         m = gradient_magnitude(field_from(lambda x, y: np.full_like(x, 3.0), 6, 6))
@@ -97,6 +112,24 @@ class TestGradientMagnitude:
     def test_three_four_five(self):
         m = gradient_magnitude(field_from(lambda x, y: 3.0 * x + 4.0 * y, 7, 7))
         assert np.allclose(m.data[1:-1, 1:-1], 5.0)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e100, 1e-100])
+    def test_within_one_ulp_of_hypot(self, scale):
+        rng = np.random.default_rng(5)
+        dx = rng.normal(size=(200, 300)) * scale
+        dy = rng.normal(size=(200, 300)) * scale * rng.uniform(1e-3, 1e3, size=(200, 1))
+        expected = np.hypot(dx, dy)
+        m = VectorField(dx, dy).magnitude()
+        assert np.all(np.abs(m - expected) <= np.spacing(expected))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e160, 1e300])
+    def test_finite_where_the_squares_overflow(self, big):
+        dx = np.array([[big, -big, 1.0], [0.0, 3.0, big]])
+        dy = np.array([[big, 2.0, -big], [0.0, 4.0, 0.0]])
+        m = VectorField(dx, dy).magnitude()
+        assert np.all(np.isfinite(m))
+        assert np.array_equal(m, np.hypot(dx, dy))
 
 
 class TestEdgeDetector:
@@ -148,6 +181,43 @@ class TestCurvature:
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ValueError):
             curvature(ScalarField(np.zeros((4, 4))), eta=0.0)
+
+    @pytest.mark.parametrize("height, width, spacing", [
+        (3, 3, 1.0), (7, 11, 0.37), (64, 200, 2.5),
+    ])
+    def test_matches_the_pow_formula(self, height, width, spacing):
+        phi = np.random.default_rng(width).normal(size=(height, width)) * 5.0
+        p = np.pad(phi, 1, mode="edge")
+        h = spacing
+        c = p[1:-1, 1:-1]
+        px = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h)
+        py = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h)
+        pxx = (p[1:-1, 2:] - 2.0 * c + p[1:-1, :-2]) / (h * h)
+        pyy = (p[2:, 1:-1] - 2.0 * c + p[:-2, 1:-1]) / (h * h)
+        pxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * h * h)
+        num = pxx * py * py - 2.0 * px * py * pxy + pyy * px * px
+        den = np.power(px * px + py * py + CURVATURE_ETA, 1.5)
+        expected = np.clip(num / den, -1.0 / h, 1.0 / h)
+        k = curvature_array(phi, spacing)
+        assert np.allclose(k, expected, rtol=1e-12, atol=0.0)
+
+    def test_scratch_gives_the_same_result_and_keeps_no_state(self):
+        rng = np.random.default_rng(8)
+        phi = ndsmooth(rng.normal(size=(13, 17)))
+        other = ndsmooth(rng.normal(size=(13, 17))) * 40.0
+        fresh = curvature_array(phi, 0.5)
+        scratch = Scratch(phi.shape)
+        first = curvature_array(phi, 0.5, scratch=scratch)
+        curvature_array(other, 0.5, scratch=scratch)
+        again = curvature_array(phi, 0.5, scratch=scratch)
+        assert first.tobytes() == fresh.tobytes()
+        assert again.tobytes() == fresh.tobytes()
+        for work in (scratch.padded, *scratch.arrays):
+            assert not np.shares_memory(again, work)
+
+    def test_scratch_of_another_shape_is_refused(self):
+        with pytest.raises(ValueError):
+            curvature_array(np.zeros((5, 6)), scratch=Scratch((6, 5)))
 
 
 def ndsmooth(a):

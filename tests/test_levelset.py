@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from levelseg.grid import ScalarField, gradient_magnitude
+from levelseg.grid import ScalarField, Scratch, gradient_magnitude
 from levelseg.levelset import (
     Contour,
     InitShape,
@@ -168,7 +168,61 @@ class TestExtractContour:
         assert steps.max() <= np.sqrt(2.0)  # consecutive vertices share a cell
 
 
+def reinitialize_reference(phi: ScalarField, iterations: int) -> np.ndarray:
+    """The Godunov sweep as first written, with padded copies and both
+    one-sided differences; reinitialize must give the same bits."""
+    h = phi.spacing
+    d0 = phi.data
+    sign = d0 / np.sqrt(d0 * d0 + h * h)
+    positive = d0 > 0
+    negative = d0 < 0
+    d = d0.copy()
+    dt = 0.5 * h
+    for _ in range(iterations):
+        p = np.pad(d, 1, mode="edge")
+        bx = (d - p[1:-1, :-2]) / h
+        fx = (p[1:-1, 2:] - d) / h
+        by = (d - p[:-2, 1:-1]) / h
+        fy = (p[2:, 1:-1] - d) / h
+        g_pos = np.sqrt(
+            np.maximum(np.maximum(bx, 0.0) ** 2, np.minimum(fx, 0.0) ** 2)
+            + np.maximum(np.maximum(by, 0.0) ** 2, np.minimum(fy, 0.0) ** 2)
+        )
+        g_neg = np.sqrt(
+            np.maximum(np.minimum(bx, 0.0) ** 2, np.maximum(fx, 0.0) ** 2)
+            + np.maximum(np.minimum(by, 0.0) ** 2, np.maximum(fy, 0.0) ** 2)
+        )
+        grad = np.where(positive, g_pos, np.where(negative, g_neg, 0.0))
+        d = d - dt * sign * (grad - 1.0)
+    return d
+
+
 class TestReinitialize:
+    @pytest.mark.parametrize("height, width, spacing", [
+        (3, 3, 1.0), (7, 11, 0.37), (64, 200, 2.5), (40, 24, 2.0),
+    ])
+    def test_equals_the_reference_sweep_bit_for_bit(self, height, width, spacing):
+        rng = np.random.default_rng(height + width)
+        d = rng.normal(size=(height, width)) * 3.0
+        d[rng.random(d.shape) < 0.1] = 0.0  # pixels on the zero level
+        d[0, 0] = -0.0
+        phi = ScalarField(d, spacing)
+        expected = reinitialize_reference(phi, 12).tobytes()
+        assert reinitialize(phi, 12).data.tobytes() == expected
+        scratch = Scratch(d.shape)
+        assert reinitialize(phi, 12, scratch=scratch).data.tobytes() == expected
+        # a set reused for another phi keeps nothing of it
+        reinitialize(ScalarField(5.0 - 2.0 * d, spacing), 3, scratch=scratch)
+        out = reinitialize(phi, 12, scratch=scratch)
+        assert out.data.tobytes() == expected
+        assert not any(np.shares_memory(out.data, work) for work in scratch.arrays)
+
+    def test_zero_sweeps_copy_phi(self):
+        phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32)
+        out = reinitialize(phi, 0)
+        assert out.data.tobytes() == phi.data.tobytes()
+        assert not np.shares_memory(out.data, phi.data)
+
     def test_exact_sdf_is_near_fixed_point(self):
         # the discrete stationary state of the upwind relaxation differs
         # from the analytic distance by O(h * curvature), worst at the

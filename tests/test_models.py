@@ -4,7 +4,7 @@ arithmetic, energy identities, and gradient-flow consistency."""
 import numpy as np
 import pytest
 
-from levelseg.grid import ScalarField, curvature, delta_eps, heaviside_eps
+from levelseg.grid import ScalarField, Scratch, curvature, delta_eps, heaviside_eps
 from levelseg.levelset import InitShape, extract_contour, signed_distance
 from levelseg.models import (
     EvolveParams,
@@ -13,9 +13,11 @@ from levelseg.models import (
     energy_chan_vese,
     energy_geodesic,
     energy_modified,
+    geodesic_flow_rhs,
     geodesic_rhs,
     modified_rhs,
     region_averages,
+    region_rhs,
 )
 
 from helpers import hausdorff
@@ -244,6 +246,29 @@ class TestGeodesicRhs:
         at_edge = np.abs(dist - 30.0) < 1.0
         flat = np.abs(dist - 20.0) < 1.0
         assert np.median(rhs[at_edge]) < np.median(rhs[flat])
+
+
+class TestScratch:
+    @pytest.mark.parametrize("model", ["region", "geodesic"])
+    def test_rhs_is_the_same_with_a_reused_scratch_set(self, model):
+        rng = np.random.default_rng(21)
+        u0 = ScalarField(rng.random((24, 40)), 0.5)
+        phi = ScalarField(disk_sdf(40, 24, 20.0, 12.0, 7.0).data * 0.5, 0.5)
+        other = ScalarField(rng.normal(size=(24, 40)) * 9.0, 0.5)
+        params = EvolveParams(mu=0.3, nu=0.1, lam=1.5)
+
+        def rhs(f, scratch):
+            if model == "geodesic":
+                return geodesic_flow_rhs(u0, f, params, scratch=scratch)
+            return region_rhs(u0, f, 0.8, 0.2, params.lam, params, scratch=scratch)
+
+        fresh = rhs(phi, None)
+        scratch = Scratch(phi.data.shape)
+        rhs(other, scratch)
+        reused = rhs(phi, scratch)
+        assert reused.tobytes() == fresh.tobytes()
+        for work in (scratch.padded, *scratch.arrays):
+            assert not np.shares_memory(reused, work)
 
 
 class TestEnergies:

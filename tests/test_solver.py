@@ -157,12 +157,73 @@ class TestEvolveBasics:
         assert np.array_equal(r1.mask, r2.mask)
         assert trace_csv(r1.energy_trace) == trace_csv(r2.energy_trace)
 
+    def test_concurrent_runs_match_sequential_ones(self):
+        # each evolve owns its work arrays, so runs in threads, which numpy
+        # lets overlap, must give the same bits as one after another
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        u0 = normalized_disk()
+        jobs = [(model, signed_distance(InitShape.circle(32, 32, r), 64, 64))
+                for model in ("chan_vese", "modified", "geodesic") for r in (9, 14)]
+        params = EvolveParams(mu=0.5, max_iters=30, reinit_every=7, stop_tol=0.0)
+        expected = [evolve(model, u0, phi0, params).phi_final.data for model, phi0 in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(evolve, model, u0, phi0, params) for model, phi0 in jobs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for res, want in zip(results, expected):
+            assert res.phi_final.data.tobytes() == want.tobytes()
+
     def test_phi_stays_finite_across_models(self):
         u0 = normalized_disk()
         for model in ("chan_vese", "modified", "geodesic"):
             phi0 = signed_distance(InitShape.circle(32, 32, 14), 64, 64)
             res = evolve(model, u0, phi0, EvolveParams(max_iters=60))
             assert np.all(np.isfinite(res.phi_final.data)), model
+
+
+def degenerate_case(case):
+    """(u0, phi0) of a degenerate input: a tiny, non-square or non-unit-spacing
+    grid with a disk phi, a constant image, or a phi of uniform sign."""
+    shape, spacing, image, phi_sign = {
+        "3x3": ((3, 3), 1.0, "noise", 0),
+        "5x9": ((5, 9), 1.0, "noise", 0),
+        "9x5_h0.5": ((9, 5), 0.5, "noise", 0),
+        "40x24_h2": ((40, 24), 2.0, "noise", 0),
+        "constant_0.5": ((16, 16), 1.0, 0.5, 0),
+        "constant_0": ((16, 16), 1.0, 0.0, 0),
+        "phi_all_inside": ((16, 16), 1.0, "noise", 1),
+        "phi_all_outside": ((16, 16), 1.0, "noise", -1),
+    }[case]
+    height, width = shape
+    rng = np.random.default_rng(height * 100 + width)
+    u = rng.random(shape) if image == "noise" else np.full(shape, image)
+    x, y = np.meshgrid(np.arange(width) * spacing, np.arange(height) * spacing)
+    dist = np.hypot(x - x.mean(), y - y.mean())
+    if phi_sign:
+        phi = phi_sign * (1.0 + dist)
+    else:
+        phi = min(width, height) * spacing / 4.0 - dist
+    return ScalarField(u, spacing), ScalarField(phi, spacing)
+
+
+class TestDegenerateInputs:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["3x3", "5x9", "9x5_h0.5", "40x24_h2", "constant_0.5",
+                                      "constant_0", "phi_all_inside", "phi_all_outside"])
+    @pytest.mark.parametrize("model", ["chan_vese", "modified", "geodesic"])
+    def test_evolve_ends_cleanly(self, model, case):
+        u0, phi0 = degenerate_case(case)
+        res = evolve(model, u0, phi0, EvolveParams(mu=0.2, max_iters=60, reinit_every=4))
+        assert np.all(np.isfinite(res.phi_final.data))
+        assert res.stop_reason in ("converged", "max_iters")
+        assert np.array_equal(res.mask, res.phi_final.data >= 0.0)
+        assert len(res.energy_trace) == res.iterations_run + 1
 
 
 class TestInterfaceMotion:
