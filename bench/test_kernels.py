@@ -14,7 +14,7 @@ import pytest
 
 from levelseg.grid import ScalarField, Scratch, curvature_array, gradient, gradient_magnitude
 from levelseg.levelset import default_seed_grid, reinitialize, signed_distance
-from levelseg.models import region_averages, weighted_averages
+from levelseg.models import EvolveParams, energy_region, region_averages, weighted_averages
 
 SCRATCH = pytest.mark.parametrize("scratch", ["fresh", "reused"])
 
@@ -56,6 +56,23 @@ def test_gradient_magnitude(benchmark, fields, of):
     benchmark(gradient_magnitude, fields[of == "phi"])
 
 
-def test_weighted_averages(benchmark, fields):
+@SCRATCH
+def test_weighted_averages(benchmark, fields, scratch):
     u0, phi = fields
-    benchmark(weighted_averages, u0, phi, region_averages(u0, phi), 1.0)
+    work = work_set(scratch, phi)
+    benchmark(weighted_averages, u0, phi, region_averages(u0, phi), 1.0, scratch=work)
+
+
+# as evolve calls it: with the H of weighted_averages, the modified model's terms
+@SCRATCH
+def test_energy_region(benchmark, fields, scratch):
+    u0, phi = fields
+    work = work_set(scratch, phi)
+    params = EvolveParams(mu=0.2)
+    stats, H = weighted_averages(u0, phi, region_averages(u0, phi), params.eps, scratch=work)
+    benchmark(energy_region, u0, phi, params.alpha * stats.max_intensity, stats.c2, 1.0,
+              params, H=H, scratch=work)
+
+
+def test_region_averages(benchmark, fields):
+    benchmark(region_averages, *fields)

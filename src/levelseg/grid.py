@@ -4,13 +4,13 @@ Everything downstream (contour evolution, energies, reinitialization)
 consumes these primitives: gradients, mean curvature of level sets, the
 regularized Heaviside/delta pair, and the gradient-based edge detector.
 All operations are deterministic; the only state they write is a Scratch
-work set that the caller passes in.
+work set or an ``out`` array that the caller passes in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -60,18 +60,22 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Per-pixel (dx, dy) components, same dimensions as the source field."""
+    """Per-pixel (dx, dy) components, same dimensions as the source field.
+    A field built with ``check=False`` is taken as given: gradient builds its
+    own that way, Inf where a difference of a valid field overflows.
+    """
 
     dx: np.ndarray
     dy: np.ndarray
     spacing: float = 1.0
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check):
         dx = np.asarray(self.dx, dtype=np.float64)
         dy = np.asarray(self.dy, dtype=np.float64)
         if dx.shape != dy.shape:
             raise ValueError(f"component shape mismatch: {dx.shape} vs {dy.shape}")
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
+        if check and not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
             raise ValueError("vector field contains NaN or Inf components")
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
@@ -85,17 +89,29 @@ class VectorField:
         return self.dx.shape[0]
 
     def magnitude(self) -> np.ndarray:
-        """sqrt(dx^2 + dy^2): within 1 ulp of np.hypot, which is 2-3x slower
-        on an image's gradients, except below 1e-154, where the squares
-        underflow. np.hypot takes over where a square overflows.
-        """
-        with np.errstate(over="ignore"):
-            m = self.dx * self.dx
-            m += self.dy * self.dy
-        np.sqrt(m, out=m)
-        if not np.isfinite(m.max(initial=0.0)):
-            return np.hypot(self.dx, self.dy)
-        return m
+        """sqrt(dx^2 + dy^2) in a new array."""
+        return _magnitude(self.dx, self.dy)
+
+
+# Below this, the squares of both components and their sum stay finite.
+_SQUARE_SAFE = 1e153
+
+
+def _magnitude(dx: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
+               dy_squared: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(dx^2 + dy^2) into ``out``, with dy^2 in ``dy_squared`` (new arrays
+    when None; ``dy_squared`` may be dy itself). Within 1 ulp of np.hypot,
+    which is 2-3x slower on an image's gradients, except below 1e-154, where
+    the squares underflow. np.hypot takes over when a component reaches
+    1e153, where a square could overflow; it reads dx and dy as given.
+    """
+    peak = np.max([dx.max(initial=0.0), -dx.min(initial=0.0),
+                   dy.max(initial=0.0), -dy.min(initial=0.0)])
+    if not peak < _SQUARE_SAFE:
+        return np.hypot(dx, dy, out=out)
+    m = np.multiply(dx, dx, out=out)
+    m += np.multiply(dy, dy, out=dy_squared)
+    return np.sqrt(m, out=m)
 
 
 def _diff_rows(d: np.ndarray, out: np.ndarray, h: float) -> None:
@@ -108,41 +124,70 @@ def _diff_rows(d: np.ndarray, out: np.ndarray, h: float) -> None:
     out[-1] /= h
 
 
-def gradient(f: ScalarField) -> VectorField:
+def gradient(f: ScalarField, *,
+             out: tuple[np.ndarray, np.ndarray] | None = None) -> VectorField:
     """First derivatives: central differences at interior pixels, one-sided
     at the borders, divided by the grid spacing. x runs along columns,
     y along rows. Bit-identical to np.gradient(f.data, f.spacing), but
-    written straight into the two outputs without temporaries.
+    written straight into the two outputs, ``out`` = (dx, dy) or new arrays.
+    The differences of the validated ``f`` are not checked again: where
+    neighbours differ by more than the largest float they are Inf, as in
+    curvature_array, and the caller checks.
     """
     d = f.data
-    dx, dy = np.empty_like(d), np.empty_like(d)
+    dx, dy = (np.empty_like(d), np.empty_like(d)) if out is None else out
     _diff_rows(d, dy, f.spacing)
     _diff_rows(d.T, dx.T, f.spacing)
-    return VectorField(dx=dx, dy=dy, spacing=f.spacing)
+    return VectorField(dx, dy, f.spacing, check=False)
 
 
-def gradient_magnitude(f: ScalarField) -> ScalarField:
-    """Per-pixel sqrt(dx^2 + dy^2) of gradient(f)."""
-    return f.like(gradient(f).magnitude())
+def gradient_magnitude(f: ScalarField, *,
+                       out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+    """Per-pixel sqrt(dx^2 + dy^2) of gradient(f), as a validated ScalarField.
+    The gradient's dy ends up holding dy^2. With ``out`` = (dx, dy,
+    magnitude), the gradient is written into the first two and the
+    magnitude into the third, which is returned as a raw array and not
+    validated: Inf where the gradient overflows.
+    """
+    grad_out, m = (None, None) if out is None else (out[:2], out[2])
+    g = gradient(f, out=grad_out)
+    m = _magnitude(g.dx, g.dy, m, dy_squared=g.dy)
+    return f.like(m) if out is None else m
 
 
-def edge_detector(z):
+def _result(shape: tuple, out: np.ndarray | None) -> np.ndarray:
+    # the array an elementwise kernel writes into: ``out``, or a new one
+    return np.empty(shape) if out is None else out
+
+
+def edge_detector(z, *, out: np.ndarray | None = None):
     """g(z) = 1 / (1 + z^2) for z >= 0: equals 1 on flat regions and decays
     toward 0 where the (smoothed) image gradient is large. Accepts scalars
-    or arrays.
+    or arrays; an array result is written into ``out`` when given.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = 1.0 / (1.0 + z * z)
+    out = np.multiply(z, z, out=_result(z.shape, out))
+    out += 1.0
+    np.divide(1.0, out, out=out)
     return out if out.ndim else float(out)
 
 
 class Scratch:
-    """Work arrays of the per-step stencils on one grid shape: ``padded``,
-    (h+2) x (w+2), and five (h, w) ``arrays``. evolve makes one per run and
-    passes it to curvature_array and levelset.reinitialize, which never run
-    at the same time, so a step reuses the same memory instead of faulting
-    in fresh temporaries. No kernel returns one of these arrays. A set is
-    for one caller at a time; concurrent runs each need their own.
+    """Work arrays of one step on one grid shape: ``padded``, (h+2) x (w+2),
+    and five (h, w) ``arrays``. evolve makes one per run and passes it to
+    every kernel of the step, which run one after another, so that a step
+    reuses the same memory instead of faulting in fresh temporaries:
+
+    - curvature_array and levelset.reinitialize use all of them;
+    - region_rhs takes arrays 0-1 for its data terms and 2 for delta_eps,
+      once curvature_array has returned;
+    - weighted_averages writes H_eps into array 0 and 1 - H_eps into array 1,
+      and returns array 0 as H, which energy_region reads and leaves as is;
+    - energy_region and energy_geodesic use arrays 1-4 (energy_geodesic
+      array 0 as well).
+
+    Apart from that H, no kernel returns one of these arrays. A set is for
+    one caller at a time; concurrent runs each need their own.
     """
 
     def __init__(self, shape: tuple):
@@ -234,27 +279,39 @@ def curvature_array(phi: np.ndarray, spacing: float = 1.0,
     return np.clip(out, -bound, bound, out=out)
 
 
-def heaviside_eps(z, eps):
-    """Smooth step H_eps(z) = 1/2 (1 + (2/pi) arctan(z/eps)): strictly
-    increasing, H_eps(0) = 1/2, limits 0 and 1. Accepts scalars or arrays.
-    """
+def _positive_eps(eps) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     if not np.all(eps > 0):
         raise ValueError("eps must be positive")
+    return eps
+
+
+def heaviside_eps(z, eps, *, out: np.ndarray | None = None):
+    """Smooth step H_eps(z) = 1/2 (1 + (2/pi) arctan(z/eps)): strictly
+    increasing, H_eps(0) = 1/2, limits 0 and 1. Accepts scalars or arrays;
+    an array result is written into ``out`` when given, in the operation
+    order of the formula.
+    """
+    eps = _positive_eps(eps)
     z = np.asarray(z, dtype=np.float64)
-    out = 0.5 * (1.0 + (2.0 / math.pi) * np.arctan(z / eps))
+    out = np.divide(z, eps, out=_result(np.broadcast_shapes(z.shape, eps.shape), out))
+    np.arctan(out, out=out)
+    out *= 2.0 / math.pi
+    out += 1.0
+    out *= 0.5
     return out if out.ndim else float(out)
 
 
-def delta_eps(z, eps):
+def delta_eps(z, eps, *, out: np.ndarray | None = None):
     """Exact derivative of heaviside_eps: (1/pi) eps / (eps^2 + z^2).
-    Even in z, strictly positive, peaks at z = 0.
+    Even in z, strictly positive, peaks at z = 0. An array result is written
+    into ``out`` when given, in the operation order of the formula.
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    if not np.all(eps > 0):
-        raise ValueError("eps must be positive")
+    eps = _positive_eps(eps)
     z = np.asarray(z, dtype=np.float64)
-    out = (eps / math.pi) / (eps * eps + z * z)
+    out = np.multiply(z, z, out=_result(np.broadcast_shapes(z.shape, eps.shape), out))
+    out += eps * eps
+    np.divide(eps / math.pi, out, out=out)
     return out if out.ndim else float(out)
 
 

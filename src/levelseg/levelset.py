@@ -244,10 +244,12 @@ def extract_contour(phi: ScalarField) -> Contour:
         return Contour()
 
     def crossing(key):
-        # subpixel crossing point on a sign-change edge
+        # subpixel crossing point on a sign-change edge; a and b are halved
+        # (exact for normal floats) so that a - b cannot overflow where
+        # |phi| nears the largest float
         kind, x, y = key
-        a = d[y, x]
-        b = d[y, x + 1] if kind == "h" else d[y + 1, x]
+        a = 0.5 * d[y, x]
+        b = 0.5 * (d[y, x + 1] if kind == "h" else d[y + 1, x])
         t = a / (a - b)
         return (x + t, y) if kind == "h" else (x, y + t)
 

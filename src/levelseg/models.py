@@ -111,6 +111,13 @@ def _check_dims(u0: ScalarField, phi: ScalarField) -> None:
         )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) over all pixels, with no product array. einsum, not the @
+    of a threaded BLAS, whose threads spin on a vector this short.
+    """
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def region_averages(u0: ScalarField, phi: ScalarField) -> RegionStats:
     """Mean intensity inside {phi >= 0} and outside {phi < 0}.
 
@@ -118,13 +125,15 @@ def region_averages(u0: ScalarField, phi: ScalarField) -> RegionStats:
     evolution can continue; the flag records the degeneracy.
     """
     _check_dims(u0, phi)
-    u = u0.data
-    inside = phi.data >= 0.0
-    n_in = int(inside.sum())
+    u = u0.data.ravel()
+    inside = phi.data.ravel() >= 0.0
+    n_in = int(np.count_nonzero(inside))
     n_out = u.size - n_in
     global_mean = float(u.mean())
-    c1 = float(u[inside].mean()) if n_in else global_mean
-    c2 = float(u[~inside].mean()) if n_out else global_mean
+    # sums over the mask as dot products, without copying u[inside]
+    c1 = _dot(u, inside) / n_in if n_in else global_mean
+    np.logical_not(inside, out=inside)
+    c2 = _dot(u, inside) / n_out if n_out else global_mean
     return RegionStats(
         c1=c1,
         c2=c2,
@@ -137,25 +146,27 @@ def region_averages(u0: ScalarField, phi: ScalarField) -> RegionStats:
 
 
 def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
-                      eps: float) -> tuple[RegionStats, np.ndarray]:
+                      eps: float, *, scratch: Optional[Scratch] = None
+                      ) -> tuple[RegionStats, np.ndarray]:
     """The region constants that minimize the region energies at fixed phi
     (Chan & Vese 2001, eq. 6): c1 = sum(u0 H) / sum(H) and
     c2 = sum(u0 (1 - H)) / sum(1 - H), with H = heaviside_eps(phi, eps).
 
     Returns ``stats`` with c1 and c2 replaced, and H, so that the energy at
-    the same phi need not compute it again. Pixel counts and empty flags stay
+    the same phi need not compute it again. H and 1 - H are written into
+    arrays 0 and 1 of ``scratch`` (a fresh set when None), and the H
+    returned is array 0 of that set. Pixel counts and empty flags stay
     those of the hard partition in ``stats``; a weight sum that underflows
     to 0 gives the global mean.
     """
     u = u0.data.ravel()
-    H = heaviside_eps(phi.data, eps)
-    w_in = H.ravel()
-    w_out = 1.0 - w_in
+    H, not_H = Scratch.ensure(scratch, u0.data.shape).arrays[:2]
+    heaviside_eps(phi.data, eps, out=H)
+    np.subtract(1.0, H, out=not_H)
+    w_in, w_out = H.ravel(), not_H.ravel()
     sum_in, sum_out = float(w_in.sum()), float(w_out.sum())
-    # einsum, not the @ of a threaded BLAS, whose threads spin on a
-    # vector this short
-    c1 = float(np.einsum("i,i->", u, w_in)) / sum_in if sum_in > 0 else float(u.mean())
-    c2 = float(np.einsum("i,i->", u, w_out)) / sum_out if sum_out > 0 else float(u.mean())
+    c1 = _dot(u, w_in) / sum_in if sum_in > 0 else float(u.mean())
+    c2 = _dot(u, w_out) / sum_out if sum_out > 0 else float(u.mean())
     return replace(stats, c1=c1, c2=c2), H
 
 
@@ -178,14 +189,15 @@ def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
 
     The terms are summed in that order into the new array that
     curvature_array returns, with ``scratch`` (a fresh set when None) as
-    work space. The result is not validated, so a phi that overflows the
-    curvature stencil gives NaN or Inf here rather than an exception.
+    work space: arrays 0-1 for the data terms and 2 for delta_eps. The
+    result is not validated, so a phi that overflows the curvature stencil
+    gives NaN or Inf here rather than an exception.
     """
     u = u0.data
     scratch = Scratch.ensure(scratch, u.shape)
     rhs = curvature_array(phi.data, phi.spacing, scratch=scratch)
-    delta = delta_eps(phi.data, params.eps)
-    dev, term = scratch.arrays[:2]
+    dev, term, delta = scratch.arrays[:3]
+    delta_eps(phi.data, params.eps, out=delta)
     rhs *= params.mu
     rhs -= params.nu
     np.subtract(u, inside_target, out=dev)
@@ -252,27 +264,36 @@ def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *
 
 def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
                   outside_const: float, lam: float, params: EvolveParams,
-                  H: Optional[np.ndarray] = None) -> float:
-    """Discrete energy shared by both region models: data terms against the
-    inside target and the outside constant, the inside one weighted by lam,
-    plus length (mu) and area (nu) penalties, cell area h^2. ``H`` is
-    heaviside_eps(phi, eps) if the caller has it already.
+                  H: Optional[np.ndarray] = None, *,
+                  scratch: Optional[Scratch] = None) -> float:
+    """Discrete energy shared by both region models, cell area h^2:
+
+        lam sum (u0 - inside)^2 H + sum (u0 - outside)^2 (1 - H)
+            + mu sum delta_eps(phi) |grad phi| + nu sum H
+
+    with H = heaviside_eps(phi, eps), or ``H`` if the caller has it already
+    (it is read, not written). Each sum is a dot product over arrays 1-4 of
+    ``scratch`` (a fresh set when None; H goes into array 0 when not given).
+    Not validated: a phi whose gradient overflows gives NaN or Inf.
     """
     u = u0.data
-    h2 = phi.spacing * phi.spacing
+    s = Scratch.ensure(scratch, u.shape)
     if H is None:
-        H = heaviside_eps(phi.data, params.eps)
-    delta = delta_eps(phi.data, params.eps)
-    grad_mag = gradient_magnitude(phi).data
-    din = u - inside_target
-    dout = u - outside_const
-    total = (
-        lam * din * din * H
-        + dout * dout * (1.0 - H)
-        + params.mu * delta * grad_mag
-        + params.nu * H
-    )
-    return float(total.sum() * h2)
+        H = heaviside_eps(phi.data, params.eps, out=s.arrays[0])
+    weight, dx, dy, work = s.arrays[1:]
+    # data terms: (u0 - c)^2 in work, against H and then 1 - H in weight
+    np.subtract(u, inside_target, out=work)
+    work *= work
+    inside = _dot(work, H)
+    np.subtract(u, outside_const, out=work)
+    work *= work
+    outside = _dot(work, np.subtract(1.0, H, out=weight))
+    area = float(H.sum())
+    # length term: delta_eps in weight, |grad phi| in work
+    length = _dot(delta_eps(phi.data, params.eps, out=weight),
+                  gradient_magnitude(phi, out=(dx, dy, work)))
+    total = lam * inside + outside + params.mu * length + params.nu * area
+    return total * phi.spacing * phi.spacing
 
 
 def energy_chan_vese(u0: ScalarField, phi: ScalarField, stats: RegionStats,
@@ -291,12 +312,16 @@ def energy_modified(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     return energy_region(u0, phi, *region_terms("modified", stats, params), params, H)
 
 
-def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> float:
+def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
+                    scratch: Optional[Scratch] = None) -> float:
     """Discrete edge-weighted contour length sum(g * delta_eps(phi) * |grad phi|) h^2;
     the quantity the geodesic flow shortens. Used for trace/stopping only.
+    The fields are built in the arrays of ``scratch`` (a fresh set when
+    None), and the sum is a dot product.
     """
     _check_dims(u0, phi)
-    g = edge_detector(gradient_magnitude(u0).data)
-    delta = delta_eps(phi.data, params.eps)
-    grad_mag = gradient_magnitude(phi).data
-    return float((g * delta * grad_mag).sum() * phi.spacing * phi.spacing)
+    g, delta, dx, dy, grad_mag = Scratch.ensure(scratch, phi.data.shape).arrays
+    edge_detector(gradient_magnitude(u0, out=(dx, dy, g)), out=g)
+    g *= delta_eps(phi.data, params.eps, out=delta)
+    gradient_magnitude(phi, out=(dx, dy, grad_mag))
+    return _dot(g, grad_mag) * phi.spacing * phi.spacing

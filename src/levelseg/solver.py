@@ -98,16 +98,17 @@ def stability_dt(params: EvolveParams, model: str, spacing: float = 1.0) -> floa
     return 0.9 / (4.0 * params.mu / h2 + max(lam, 1.0) + abs(params.nu))
 
 
-def _stats_and_energy(model, u0, u_model, phi, params):
+def _stats_and_energy(model, u0, u_model, phi, params, scratch):
     """Region stats of phi, the region_terms of a region model (None for the
-    geodesic flow) and the energy at phi. The region models get the
-    H_eps-weighted constants, and their energy reuses that H_eps."""
+    geodesic flow) and the energy at phi, with ``scratch`` as work space.
+    The region models get the H_eps-weighted constants, and their energy
+    reuses that H_eps, which weighted_averages leaves in the set."""
     stats = region_averages(u0, phi)
     if model == "geodesic":
-        return stats, None, energy_geodesic(u_model, phi, params)
-    stats, H = weighted_averages(u0, phi, stats, params.eps)
+        return stats, None, energy_geodesic(u_model, phi, params, scratch=scratch)
+    stats, H = weighted_averages(u0, phi, stats, params.eps, scratch=scratch)
     terms = region_terms(model, stats, params)
-    return stats, terms, energy_region(u0, phi, *terms, params, H=H)
+    return stats, terms, energy_region(u0, phi, *terms, params, H=H, scratch=scratch)
 
 
 def _crossings(phi: np.ndarray) -> list:
@@ -186,7 +187,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
         dt, clamped = params.dt, False
 
     phi = phi0.like(phi0.data.copy())
-    # work space of the curvature stencil and reinitialization for this run
+    # work space of every kernel of the step for this run
     scratch = Scratch(phi.data.shape)
     stop_reason = "max_iters"
     diagnostics = None
@@ -195,7 +196,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
 
     # an overflowing phi must reach the finiteness check as NaN/Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params)
+        stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
         trace = [TraceEntry(0, energy, *(terms or (None, None))[:2],
                             "clamp" if clamped else "step")]
         crossings = _crossings(phi.data)
@@ -219,7 +220,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
             if params.reinit_every > 0 and it % params.reinit_every == 0:
                 phi = reinitialize(phi, params.reinit_sweeps, scratch=scratch)
                 event = "reinit"
-            stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params)
+            stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
             trace.append(TraceEntry(it, energy, *(terms or (None, None))[:2], event))
             iterations_run = it
 

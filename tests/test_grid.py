@@ -301,3 +301,80 @@ class TestGaussianSmooth:
         raw = gradient_magnitude(ScalarField(step)).data.max()
         smoothed = gradient_magnitude(gaussian_smooth(ScalarField(step))).data.max()
         assert smoothed < raw
+
+
+# The parent formulas of the elementwise kernels, before they could write
+# into a given array; the in-place versions must give the same bits.
+def heaviside_reference(z, eps):
+    return 0.5 * (1.0 + (2.0 / math.pi) * np.arctan(z / eps))
+
+
+def delta_reference(z, eps):
+    return (eps / math.pi) / (eps * eps + z * z)
+
+
+def edge_detector_reference(z):
+    return 1.0 / (1.0 + z * z)
+
+
+class TestWrittenIntoGivenArrays:
+    @staticmethod
+    def samples():
+        rng = np.random.default_rng(17)
+        z = rng.normal(size=(37, 53)) * 10.0 ** rng.integers(-4, 5, size=(37, 1))
+        z[0, :5] = (0.0, -0.0, 1e-300, -1e300, 1.7e308)
+        return z
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("kernel, reference", [(heaviside_eps, heaviside_reference),
+                                                   (delta_eps, delta_reference)])
+    def test_heaviside_and_delta_are_bit_identical(self, kernel, reference, eps):
+        z = self.samples()
+        out = np.full_like(z, np.nan)
+        with np.errstate(over="ignore"):
+            expected = reference(z, eps)
+            fresh = kernel(z, eps)
+            written = kernel(z, eps, out=out)
+        assert written is out
+        assert fresh.tobytes() == expected.tobytes()
+        assert out.tobytes() == expected.tobytes()
+
+    def test_scalars_stay_scalars(self):
+        assert heaviside_eps(0.7, 1.5) == heaviside_reference(0.7, 1.5)
+        assert delta_eps(0.7, 1.5) == delta_reference(0.7, 1.5)
+        assert edge_detector(0.7) == edge_detector_reference(0.7)
+        assert isinstance(delta_eps(0.7, 1.5), float)
+
+    def test_edge_detector_is_bit_identical(self):
+        z = np.abs(self.samples())
+        out = np.empty_like(z)
+        with np.errstate(over="ignore"):
+            expected = edge_detector_reference(z)
+            assert edge_detector(z, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.37])
+    def test_gradient_and_magnitude_fill_the_given_arrays(self, spacing):
+        f = ScalarField(self.samples()[1:] * 1e-3, spacing)
+        dx, dy, m = (np.full_like(f.data, np.nan) for _ in range(3))
+        g = gradient(f, out=(dx, dy))
+        assert g.dx is dx and g.dy is dy
+        fresh = gradient(f)
+        assert dx.tobytes() == fresh.dx.tobytes() and dy.tobytes() == fresh.dy.tobytes()
+        assert gradient_magnitude(f, out=(dx, dy, m)) is m
+        assert m.tobytes() == gradient_magnitude(f).data.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_gradient_of_a_valid_field_is_not_checked_again(self):
+        # neighbours 2 * 1.7e308 apart: the differences overflow to Inf, as
+        # in curvature_array, instead of raising; the caller checks
+        d = np.full((5, 6), -1.7e308)
+        d[:, 3:] = 1.7e308
+        f = ScalarField(d)
+        with np.errstate(over="ignore"):
+            g = gradient(f)
+            m = gradient_magnitude(f, out=tuple(np.empty_like(d) for _ in range(3)))
+        assert np.isinf(g.dx[:, 2:4]).all() and np.isfinite(g.dy).all()
+        assert np.isinf(m[:, 2:4]).all()
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            VectorField(g.dx, g.dy)

@@ -16,8 +16,10 @@ from levelseg.models import (
     geodesic_flow_rhs,
     geodesic_rhs,
     modified_rhs,
+    energy_region,
     region_averages,
     region_rhs,
+    weighted_averages,
 )
 
 from helpers import hausdorff
@@ -370,3 +372,131 @@ class TestGradientFlowConsistency:
             )
             gap = descent_gap(model, u0, phi, params)
             assert gap <= 1e-8
+
+
+# The parent formulas of the region statistics and the energies, before they
+# were written into the run's work set; the work-set versions must agree.
+def region_means_reference(u, phi):
+    inside = phi >= 0.0
+    mean = float(u.mean())
+    return (float(u[inside].mean()) if inside.any() else mean,
+            float(u[~inside].mean()) if (~inside).any() else mean)
+
+
+def weighted_averages_reference(u, phi, eps):
+    H = heaviside_eps(phi, eps)
+    w_in = H.ravel()
+    w_out = 1.0 - w_in
+    c1 = float(np.einsum("i,i->", u.ravel(), w_in)) / float(w_in.sum())
+    c2 = float(np.einsum("i,i->", u.ravel(), w_out)) / float(w_out.sum())
+    return c1, c2, H
+
+
+def grad_mag_reference(phi, spacing):
+    dy, dx = np.gradient(phi, spacing)
+    return np.hypot(dx, dy)
+
+
+def energy_region_reference(u, phi, spacing, inside, outside, lam, params):
+    H = heaviside_eps(phi, params.eps)
+    delta = delta_eps(phi, params.eps)
+    din, dout = u - inside, u - outside
+    total = (lam * din * din * H + dout * dout * (1.0 - H)
+             + params.mu * delta * grad_mag_reference(phi, spacing) + params.nu * H)
+    return float(total.sum() * spacing * spacing)
+
+
+def energy_geodesic_reference(u, phi, spacing, params):
+    g = 1.0 / (1.0 + grad_mag_reference(u, spacing) ** 2)
+    delta = delta_eps(phi, params.eps)
+    return float((g * delta * grad_mag_reference(phi, spacing)).sum() * spacing * spacing)
+
+
+def random_fields(seed, shape=(31, 47), spacing=1.0):
+    rng = np.random.default_rng(seed)
+    u = rng.random(shape)
+    phi = rng.normal(size=shape) * rng.uniform(0.5, 20.0)
+    return ScalarField(u, spacing), ScalarField(phi, spacing)
+
+
+class TestRegionStepInTheWorkSet:
+    @pytest.mark.parametrize("spacing", [1.0, 0.5, 2.5])
+    def test_energies_match_the_parent_formulas(self, spacing):
+        scratch = Scratch((31, 47))
+        for seed in range(8):
+            u0, phi = random_fields(seed, spacing=spacing)
+            params = EvolveParams(mu=0.1 + seed, nu=0.3 * seed - 1.0, eps=0.5 + 0.2 * seed)
+            terms = (0.7, 0.3, 1.0 + 0.5 * seed)
+            want = energy_region_reference(u0.data, phi.data, spacing, *terms, params)
+            for work in (None, scratch):
+                got = energy_region(u0, phi, *terms, params, scratch=work)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            want = energy_geodesic_reference(u0.data, phi.data, spacing, params)
+            for work in (None, scratch):
+                got = energy_geodesic(u0, phi, params, scratch=work)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_weighted_averages_are_bit_identical_with_a_reused_set(self):
+        scratch = Scratch((31, 47))
+        for seed in range(5):
+            u0, phi = random_fields(seed)
+            c1, c2, H = weighted_averages_reference(u0.data, phi.data, 1.3)
+            for work in (None, scratch):
+                stats, got = weighted_averages(u0, phi, region_averages(u0, phi), 1.3,
+                                               scratch=work)
+                assert (stats.c1, stats.c2) == (c1, c2)
+                assert got.tobytes() == H.tobytes()
+            # H is returned in the set, and the energy reads it as it is
+            assert got is scratch.arrays[0]
+            before = got.copy()
+            energy = energy_region(u0, phi, stats.c1, stats.c2, 1.0, EvolveParams(eps=1.3),
+                                   H=got, scratch=scratch)
+            assert got.tobytes() == before.tobytes()
+            assert energy == energy_region(u0, phi, stats.c1, stats.c2, 1.0,
+                                           EvolveParams(eps=1.3))
+
+    @pytest.mark.parametrize("case", ["mixed", "all_inside", "all_outside"])
+    def test_region_averages_match_the_boolean_index_means(self, case):
+        for seed in range(5):
+            u0, phi = random_fields(seed)
+            if case == "all_inside":
+                phi = phi.like(np.abs(phi.data))
+            elif case == "all_outside":
+                phi = phi.like(-np.abs(phi.data) - 1e-3)
+            stats = region_averages(u0, phi)
+            c1, c2 = region_means_reference(u0.data, phi.data)
+            assert stats.c1 == pytest.approx(c1, rel=1e-12, abs=1e-15)
+            assert stats.c2 == pytest.approx(c2, rel=1e-12, abs=1e-15)
+            assert stats.empty_inside == (case == "all_outside")
+            assert stats.empty_outside == (case == "all_inside")
+            assert stats.n_inside + stats.n_outside == u0.data.size
+
+    def test_stats_and_energy_allocate_no_phi_sized_temporaries(self):
+        # tracemalloc sees numpy's buffers. On a reused set, a step's
+        # statistics and energy make only boolean masks (an eighth of an
+        # array each) and einsum's cast buffer, and the rhs only the new phi,
+        # so one more phi-sized temporary in either crosses its bound
+        import tracemalloc
+
+        u0, phi = random_fields(3, shape=(256, 256))
+        params = EvolveParams(mu=0.2)
+        scratch = Scratch(phi.data.shape)
+
+        def stats_and_energy():
+            stats, H = weighted_averages(u0, phi, region_averages(u0, phi), params.eps,
+                                         scratch=scratch)
+            return energy_region(u0, phi, stats.c1, stats.c2, 1.0, params, H=H,
+                                 scratch=scratch)
+
+        def rhs():
+            return region_rhs(u0, phi, 0.7, 0.3, 1.0, params, scratch=scratch)
+
+        for step, arrays in ((stats_and_energy, 1), (rhs, 2)):
+            step()
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < arrays * phi.data.nbytes, step.__name__

@@ -124,6 +124,20 @@ class TestEvolveBasics:
         assert res.diagnostics is not None
         assert len(res.energy_trace) >= 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", ["chan_vese", "modified", "geodesic"])
+    def test_stalled_when_neighbours_differ_by_more_than_the_largest_float(self, model):
+        # a finite phi0 of +-1.7e308: its gradient overflows in the first
+        # energy, which must reach the finiteness check rather than raise
+        u0 = normalized_disk()
+        sdf = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
+        phi0 = ScalarField(np.where(sdf >= 0.0, 1.7e308, -1.7e308))
+        res = evolve(model, u0, phi0, EvolveParams(mu=0.2, max_iters=30))
+        assert res.stop_reason == "stalled"
+        assert "non-finite at iteration 1" in res.diagnostics
+        assert len(res.energy_trace) == 1
+        assert np.array_equal(res.mask, sdf >= 0.0)
+
     def test_aligned_disk_is_fixed_point(self):
         # mu=5, nu=0 on the already-aligned phantom: converges fast and the
         # contour stays within 1 px of where it started
