@@ -1,20 +1,35 @@
-"""Micro-benchmarks of the per-step kernels at 256^2 and 512^2, each with a
-fresh work set per call and, where a kernel takes one, with a reused
-grid.Scratch as evolve passes it:
+"""Micro-benchmarks of the per-step kernels of all three models at 256^2
+and 512^2, each with a fresh work set per call and, where a kernel takes
+one, with a reused grid.Scratch as evolve passes it:
 
     python -m pytest bench/test_kernels.py
 
 Tier-1 does not collect this directory (testpaths is ["tests"]). The
 inputs are the benchmark's kind of level set, the 4 x 4 seed circles of
-levelset.default_seed_grid, and a seeded uniform image in [0, 1].
+levelset.default_seed_grid, and a seeded uniform image in [0, 1], which
+the geodesic kernels get pre-smoothed, as evolve passes it to them.
 """
 
 import numpy as np
 import pytest
 
-from levelseg.grid import ScalarField, Scratch, curvature_array, gradient, gradient_magnitude
+from levelseg.grid import (
+    ScalarField,
+    Scratch,
+    curvature_array,
+    gaussian_smooth,
+    gradient,
+    gradient_magnitude,
+)
 from levelseg.levelset import default_seed_grid, reinitialize, signed_distance
-from levelseg.models import EvolveParams, energy_region, region_averages, weighted_averages
+from levelseg.models import (
+    EvolveParams,
+    energy_geodesic,
+    energy_region,
+    geodesic_flow_rhs,
+    region_averages,
+    weighted_averages,
+)
 
 SCRATCH = pytest.mark.parametrize("scratch", ["fresh", "reused"])
 
@@ -72,6 +87,20 @@ def test_energy_region(benchmark, fields, scratch):
     stats, H = weighted_averages(u0, phi, region_averages(u0, phi), params.eps, scratch=work)
     benchmark(energy_region, u0, phi, params.alpha * stats.max_intensity, stats.c2, 1.0,
               params, H=H, scratch=work)
+
+
+@SCRATCH
+def test_geodesic_flow_rhs(benchmark, fields, scratch):
+    u0, phi = fields
+    work = work_set(scratch, phi)
+    benchmark(geodesic_flow_rhs, gaussian_smooth(u0), phi, EvolveParams(mu=0.2), scratch=work)
+
+
+@SCRATCH
+def test_energy_geodesic(benchmark, fields, scratch):
+    u0, phi = fields
+    work = work_set(scratch, phi)
+    benchmark(energy_geodesic, gaussian_smooth(u0), phi, EvolveParams(mu=0.2), scratch=work)
 
 
 def test_region_averages(benchmark, fields):

@@ -10,7 +10,8 @@ work set or an ``out`` array that the caller passes in.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -58,52 +59,25 @@ class ScalarField:
         return ScalarField(data, self.spacing)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Per-pixel (dx, dy) components, same dimensions as the source field.
-    A field built with ``check=False`` is taken as given: gradient builds its
-    own that way, Inf where a difference of a valid field overflows.
-    """
+class Gradient(NamedTuple):
+    """The (dx, dy) arrays of gradient, same shape as the source field."""
 
     dx: np.ndarray
     dy: np.ndarray
-    spacing: float = 1.0
-    check: InitVar[bool] = True
-
-    def __post_init__(self, check):
-        dx = np.asarray(self.dx, dtype=np.float64)
-        dy = np.asarray(self.dy, dtype=np.float64)
-        if dx.shape != dy.shape:
-            raise ValueError(f"component shape mismatch: {dx.shape} vs {dy.shape}")
-        if check and not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
-            raise ValueError("vector field contains NaN or Inf components")
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
-
-    @property
-    def width(self) -> int:
-        return self.dx.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.dx.shape[0]
-
-    def magnitude(self) -> np.ndarray:
-        """sqrt(dx^2 + dy^2) in a new array."""
-        return _magnitude(self.dx, self.dy)
 
 
 # Below this, the squares of both components and their sum stay finite.
 _SQUARE_SAFE = 1e153
 
 
-def _magnitude(dx: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
-               dy_squared: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(dx^2 + dy^2) into ``out``, with dy^2 in ``dy_squared`` (new arrays
-    when None; ``dy_squared`` may be dy itself). Within 1 ulp of np.hypot,
-    which is 2-3x slower on an image's gradients, except below 1e-154, where
-    the squares underflow. np.hypot takes over when a component reaches
-    1e153, where a square could overflow; it reads dx and dy as given.
+def magnitude(dx: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
+              dy_squared: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(dx^2 + dy^2) as a raw array: ``out``, with dy^2 in
+    ``dy_squared`` (new arrays when None; ``dy_squared`` may be dy itself).
+    Within 1 ulp of np.hypot, which is 2-3x slower on an image's gradients,
+    except below 1e-154, where the squares underflow. np.hypot takes over
+    when a component reaches 1e153, where a square could overflow; it reads
+    dx and dy as given.
     """
     peak = np.max([dx.max(initial=0.0), -dx.min(initial=0.0),
                    dy.max(initial=0.0), -dy.min(initial=0.0)])
@@ -125,34 +99,34 @@ def _diff_rows(d: np.ndarray, out: np.ndarray, h: float) -> None:
 
 
 def gradient(f: ScalarField, *,
-             out: tuple[np.ndarray, np.ndarray] | None = None) -> VectorField:
+             out: tuple[np.ndarray, np.ndarray] | None = None) -> Gradient:
     """First derivatives: central differences at interior pixels, one-sided
     at the borders, divided by the grid spacing. x runs along columns,
     y along rows. Bit-identical to np.gradient(f.data, f.spacing), but
-    written straight into the two outputs, ``out`` = (dx, dy) or new arrays.
-    The differences of the validated ``f`` are not checked again: where
-    neighbours differ by more than the largest float they are Inf, as in
-    curvature_array, and the caller checks.
+    written straight into ``out`` = (dx, dy), or new arrays when None, and
+    returned as a Gradient of those arrays. The differences of the
+    validated ``f`` are not checked again: where neighbours differ by more
+    than the largest float they are Inf, as in curvature_array, and the
+    caller checks.
     """
     d = f.data
     dx, dy = (np.empty_like(d), np.empty_like(d)) if out is None else out
     _diff_rows(d, dy, f.spacing)
     _diff_rows(d.T, dx.T, f.spacing)
-    return VectorField(dx, dy, f.spacing, check=False)
+    return Gradient(dx, dy)
 
 
 def gradient_magnitude(f: ScalarField, *,
-                       out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
-    """Per-pixel sqrt(dx^2 + dy^2) of gradient(f), as a validated ScalarField.
-    The gradient's dy ends up holding dy^2. With ``out`` = (dx, dy,
-    magnitude), the gradient is written into the first two and the
-    magnitude into the third, which is returned as a raw array and not
-    validated: Inf where the gradient overflows.
+                       out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                       ) -> np.ndarray:
+    """Per-pixel magnitude of gradient(f) as a raw array, not validated: Inf
+    where the gradient overflows. With ``out`` = (dx, dy, magnitude), the
+    gradient is written into the first two, with dy^2 in the second at the
+    end, and the magnitude into the third; new arrays when None.
     """
     grad_out, m = (None, None) if out is None else (out[:2], out[2])
     g = gradient(f, out=grad_out)
-    m = _magnitude(g.dx, g.dy, m, dy_squared=g.dy)
-    return f.like(m) if out is None else m
+    return magnitude(g.dx, g.dy, m, dy_squared=g.dy)
 
 
 def _result(shape: tuple, out: np.ndarray | None) -> np.ndarray:
@@ -183,6 +157,8 @@ class Scratch:
       once curvature_array has returned;
     - weighted_averages writes H_eps into array 0 and 1 - H_eps into array 1,
       and returns array 0 as H, which energy_region reads and leaves as is;
+    - geodesic_flow_rhs builds g, grad g, grad phi and |grad phi| in arrays
+      0-4, once curvature_array has returned;
     - energy_region and energy_geodesic use arrays 1-4 (energy_geodesic
       array 0 as well).
 

@@ -27,6 +27,7 @@ from .grid import (
     gradient,
     gradient_magnitude,
     heaviside_eps,
+    magnitude,
 )
 
 MODEL_NAMES = ("geodesic", "chan_vese", "modified")
@@ -243,22 +244,24 @@ def geodesic_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> Sca
 def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
                       scratch: Optional[Scratch] = None) -> np.ndarray:
     """geodesic_rhs as a raw array, summed in the order of the formula into
-    the new array that curvature_array returns (``scratch`` is its work
-    space). Not validated, so that a phi that overflows the curvature
+    the array that curvature_array returns. Once it has, g, grad g, grad phi
+    and |grad phi| are built in arrays 0-4 of ``scratch`` (a fresh set when
+    None). Not validated, so that a phi that overflows the curvature
     stencil gives NaN or Inf rather than an exception.
     """
-    g = u0.like(edge_detector(gradient_magnitude(u0).data))
-    gg = gradient(g)
-    gp = gradient(phi)
+    scratch = Scratch.ensure(scratch, phi.data.shape)
     rhs = curvature_array(phi.data, phi.spacing, scratch=scratch)
-    rhs *= g.data
-    rhs *= gp.magnitude()
-    # gp is this function's own, so its components can take the products
-    px, py = gp.dx, gp.dy
-    px *= gg.dx
-    rhs += px
-    py *= gg.dy
-    rhs += py
+    g, gx, gy, px, py = scratch.arrays
+    edge_detector(gradient_magnitude(u0, out=(gx, gy, g)), out=g)
+    gradient(u0.like(g), out=(gx, gy))
+    gradient(phi, out=(px, py))
+    rhs *= g
+    # the dot product's terms first, so that g's array and py can take |grad phi|
+    gx *= px
+    gy *= py
+    rhs *= magnitude(px, py, out=g, dy_squared=py)
+    rhs += gx
+    rhs += gy
     return rhs
 
 

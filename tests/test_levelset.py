@@ -30,7 +30,7 @@ class TestSignedDistance:
 
     def test_circle_gradient_is_unit(self):
         phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
-        mag = gradient_magnitude(phi).data
+        mag = gradient_magnitude(phi)
         x, y = np.meshgrid(np.arange(64.0), np.arange(64.0))
         dist = np.hypot(x - 32, y - 32)
         away = (dist > 2.0) & (np.abs(dist - 10.0) > 2.0)
@@ -240,7 +240,7 @@ class TestReinitialize:
         phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
         scaled = ScalarField(3.0 * phi.data)
         out = reinitialize(scaled, iterations=40)
-        mag = gradient_magnitude(out).data
+        mag = gradient_magnitude(out)
         near = np.abs(phi.data) < 5.0
         frac = ((mag[near] > 0.9) & (mag[near] < 1.1)).mean()
         assert frac >= 0.9

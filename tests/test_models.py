@@ -4,7 +4,14 @@ arithmetic, energy identities, and gradient-flow consistency."""
 import numpy as np
 import pytest
 
-from levelseg.grid import ScalarField, Scratch, curvature, delta_eps, heaviside_eps
+from levelseg.grid import (
+    ScalarField,
+    Scratch,
+    curvature,
+    curvature_array,
+    delta_eps,
+    heaviside_eps,
+)
 from levelseg.levelset import InitShape, extract_contour, signed_distance
 from levelseg.models import (
     EvolveParams,
@@ -412,6 +419,17 @@ def energy_geodesic_reference(u, phi, spacing, params):
     return float((g * delta * grad_mag_reference(phi, spacing)).sum() * spacing * spacing)
 
 
+def geodesic_rhs_reference(u, phi, spacing):
+    # kappa g |grad phi| + grad phi . grad g, in the order the formula reads
+    gy, gx = np.gradient(u, spacing)
+    z = np.sqrt(gx * gx + gy * gy)
+    g = 1.0 / (1.0 + z * z)
+    gy, gx = np.gradient(g, spacing)
+    py, px = np.gradient(phi, spacing)
+    kappa = curvature_array(phi, spacing)
+    return kappa * g * np.sqrt(px * px + py * py) + px * gx + py * gy
+
+
 def random_fields(seed, shape=(31, 47), spacing=1.0):
     rng = np.random.default_rng(seed)
     u = rng.random(shape)
@@ -435,6 +453,16 @@ class TestRegionStepInTheWorkSet:
             for work in (None, scratch):
                 got = energy_geodesic(u0, phi, params, scratch=work)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.5, 2.5])
+    def test_geodesic_rhs_is_bit_identical_to_the_formula(self, spacing):
+        scratch = Scratch((31, 47))
+        for seed in range(10):
+            u0, phi = random_fields(seed, spacing=spacing)
+            want = geodesic_rhs_reference(u0.data, phi.data, spacing)
+            for work in (None, scratch):
+                got = geodesic_flow_rhs(u0, phi, EvolveParams(), scratch=work)
+                assert got.tobytes() == want.tobytes()
 
     def test_weighted_averages_are_bit_identical_with_a_reused_set(self):
         scratch = Scratch((31, 47))
@@ -473,9 +501,9 @@ class TestRegionStepInTheWorkSet:
 
     def test_stats_and_energy_allocate_no_phi_sized_temporaries(self):
         # tracemalloc sees numpy's buffers. On a reused set, a step's
-        # statistics and energy make only boolean masks (an eighth of an
-        # array each) and einsum's cast buffer, and the rhs only the new phi,
-        # so one more phi-sized temporary in either crosses its bound
+        # statistics and energies make only boolean masks (an eighth of an
+        # array each) and einsum's cast buffer, and either rhs only the new
+        # phi, so one more phi-sized temporary in any of them crosses its bound
         import tracemalloc
 
         u0, phi = random_fields(3, shape=(256, 256))
@@ -491,7 +519,14 @@ class TestRegionStepInTheWorkSet:
         def rhs():
             return region_rhs(u0, phi, 0.7, 0.3, 1.0, params, scratch=scratch)
 
-        for step, arrays in ((stats_and_energy, 1), (rhs, 2)):
+        def geodesic_flow():
+            return geodesic_flow_rhs(u0, phi, params, scratch=scratch)
+
+        def geodesic_energy():
+            return energy_geodesic(u0, phi, params, scratch=scratch)
+
+        for step, arrays in ((stats_and_energy, 1), (rhs, 2), (geodesic_flow, 2),
+                             (geodesic_energy, 1)):
             step()
             tracemalloc.start()
             try:
