@@ -28,8 +28,10 @@ from levelseg.models import (
     energy_region,
     geodesic_flow_rhs,
     region_averages,
+    region_rhs,
     weighted_averages,
 )
+from levelseg.solver import _crossings, _interface_motion
 
 SCRATCH = pytest.mark.parametrize("scratch", ["fresh", "reused"])
 
@@ -89,6 +91,18 @@ def test_energy_region(benchmark, fields, scratch):
               params, H=H, scratch=work)
 
 
+# the modified model's step as evolve takes it: a reused set has its data
+# terms from the energy at the same constants, a fresh one builds them
+@SCRATCH
+def test_region_rhs(benchmark, fields, scratch):
+    u0, phi = fields
+    work = work_set(scratch, phi)
+    params = EvolveParams(mu=0.2)
+    stats = region_averages(u0, phi)
+    benchmark(region_rhs, u0, phi, params.alpha * stats.max_intensity, stats.c2, 1.0,
+              params, scratch=work)
+
+
 @SCRATCH
 def test_geodesic_flow_rhs(benchmark, fields, scratch):
     u0, phi = fields
@@ -105,3 +119,14 @@ def test_energy_geodesic(benchmark, fields, scratch):
 
 def test_region_averages(benchmark, fields):
     benchmark(region_averages, *fields)
+
+
+def test_crossings(benchmark, fields):
+    benchmark(_crossings, fields[1].data)
+
+
+# the seed circles against the same circles grown by a quarter pixel: every
+# crossing moves, and none appears or vanishes
+def test_interface_motion(benchmark, fields):
+    phi = fields[1].data
+    benchmark(_interface_motion, _crossings(phi), _crossings(phi + 0.25))

@@ -32,7 +32,8 @@ class ScalarField:
     spacing: float = 1.0
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        # row-major, so that the stencils can run over the rows as one flat run
+        arr = np.asarray(self.data, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise ValueError(f"field data must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 3 or arr.shape[1] < 3:
@@ -88,14 +89,25 @@ def magnitude(dx: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
     return np.sqrt(m, out=m)
 
 
-def _diff_rows(d: np.ndarray, out: np.ndarray, h: float) -> None:
-    # np.gradient along axis 0 with uniform spacing h, written into out
-    np.subtract(d[2:], d[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * h
-    np.subtract(d[1], d[0], out=out[0])
-    np.subtract(d[-1], d[-2], out=out[-1])
-    out[0] /= h
-    out[-1] /= h
+def divide_by(a: np.ndarray, d: float) -> None:
+    """a /= d in place, for a positive constant d. When d is a power of two
+    its reciprocal is exact, so a * (1 / d) rounds to the same bits as
+    a / d, and a multiply costs about a third of a divide (nothing when d
+    is 1); that is how the stencils divide by 2h, h^2 or 4h^2.
+    """
+    mantissa, exponent = math.frexp(d)
+    if mantissa == 0.5 and exponent > -1021:  # d = 2^k with 1 / d a float
+        if d != 1.0:
+            a *= 1.0 / d
+    else:
+        a /= d
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    # a row-major array as one 1-D run over its rows, without a copy
+    if not a.flags.c_contiguous:
+        raise ValueError("array must be row-major (C-contiguous)")
+    return a.reshape(-1)
 
 
 def gradient(f: ScalarField, *,
@@ -103,16 +115,32 @@ def gradient(f: ScalarField, *,
     """First derivatives: central differences at interior pixels, one-sided
     at the borders, divided by the grid spacing. x runs along columns,
     y along rows. Bit-identical to np.gradient(f.data, f.spacing), but
-    written straight into ``out`` = (dx, dy), or new arrays when None, and
-    returned as a Gradient of those arrays. The differences of the
-    validated ``f`` are not checked again: where neighbours differ by more
-    than the largest float they are Inf, as in curvature_array, and the
-    caller checks.
+    written straight into ``out`` = (dx, dy), row-major arrays, or new
+    arrays when None, and returned as a Gradient of those arrays. The
+    differences of the validated ``f`` are not checked again: where
+    neighbours differ by more than the largest float they are Inf, as in
+    curvature_array, and the caller checks.
+
+    dx is taken as one pass over the flattened rows, which also differences
+    across the end of each row; the first and last column are then
+    overwritten with their one-sided differences.
     """
     d = f.data
+    h = f.spacing
     dx, dy = (np.empty_like(d), np.empty_like(d)) if out is None else out
-    _diff_rows(d, dy, f.spacing)
-    _diff_rows(d.T, dx.T, f.spacing)
+    np.subtract(d[2:], d[:-2], out=dy[1:-1])
+    divide_by(dy[1:-1], 2.0 * h)
+    np.subtract(d[1], d[0], out=dy[0])
+    np.subtract(d[-1], d[-2], out=dy[-1])
+    dy[0] /= h
+    dy[-1] /= h
+    run, dx_run = _flat(d), _flat(dx)
+    np.subtract(run[2:], run[:-2], out=dx_run[1:-1])
+    divide_by(dx_run[1:-1], 2.0 * h)
+    np.subtract(d[:, 1], d[:, 0], out=dx[:, 0])
+    np.subtract(d[:, -1], d[:, -2], out=dx[:, -1])
+    dx[:, 0] /= h
+    dx[:, -1] /= h
     return Gradient(dx, dy)
 
 
@@ -147,14 +175,22 @@ def edge_detector(z, *, out: np.ndarray | None = None):
 
 
 class Scratch:
-    """Work arrays of one step on one grid shape: ``padded``, (h+2) x (w+2),
-    and five (h, w) ``arrays``. evolve makes one per run and passes it to
-    every kernel of the step, which run one after another, so that a step
-    reuses the same memory instead of faulting in fresh temporaries:
+    """Work arrays of one run on one grid shape. evolve makes one per run
+    and passes it to every kernel of the step, which run one after another,
+    so that a step reuses the same memory instead of faulting in fresh
+    temporaries. A set is for one caller at a time; concurrent runs each
+    need their own.
 
-    - curvature_array and levelset.reinitialize use all of them;
-    - region_rhs takes arrays 0-1 for its data terms and 2 for delta_eps,
-      once curvature_array has returned;
+    ``buffers`` are five flat arrays of h * (w + 2) values, and ``arrays``
+    the five (h, w) row-major views of their first h * w values.
+    ``padded`` is (h + 2) x (w + 2). curvature_array lays the buffers out
+    as rows of w + 2 values, one per row of ``padded``, so that each
+    stencil is one flat run through all rows; once its differences are
+    taken, ``padded`` is free and holds the cross term. Apart from that:
+
+    - levelset.reinitialize uses all five arrays;
+    - region_rhs takes array 2 for delta_eps and, to build a data term with
+      a lambda other than 1, array 0, once curvature_array has returned;
     - weighted_averages writes H_eps into array 0 and 1 - H_eps into array 1,
       and returns array 0 as H, which energy_region reads and leaves as is;
     - geodesic_flow_rhs builds g, grad g, grad phi and |grad phi| in arrays
@@ -162,15 +198,24 @@ class Scratch:
     - energy_region and energy_geodesic use arrays 1-4 (energy_geodesic
       array 0 as well).
 
-    Apart from that H, no kernel returns one of these arrays. A set is for
-    one caller at a time; concurrent runs each need their own.
+    Apart from that H, no kernel returns one of these arrays.
+
+    The set also keeps what depends only on the image: the mean and max of
+    the image (image_stats) and two data-term arrays lam * (u - c)^2
+    (data_term), made on first use, so only region runs have them. Each is
+    keyed on the image array object, and the terms on c and lam as well,
+    and is rebuilt only when its key changes. The contract: a set serves
+    one run, and the image is not changed in place while it does.
     """
 
     def __init__(self, shape: tuple):
         h, w = shape
         self.shape = (h, w)
         self.padded = np.empty((h + 2, w + 2))
-        self.arrays = tuple(np.empty((h, w)) for _ in range(5))
+        self.buffers = tuple(np.empty(h * (w + 2)) for _ in range(5))
+        self.arrays = tuple(b[:h * w].reshape(h, w) for b in self.buffers)
+        self._image = None  # (image, mean, max)
+        self._terms = [None, None]  # ((image, c, lam), array) per data term
 
     @classmethod
     def ensure(cls, scratch: "Scratch | None", shape: tuple) -> "Scratch":
@@ -180,6 +225,41 @@ class Scratch:
         if scratch.shape != tuple(shape):
             raise ValueError(f"scratch is for shape {scratch.shape}, not {tuple(shape)}")
         return scratch
+
+    def image_stats(self, u: np.ndarray) -> tuple[float, float]:
+        """image_stats(u), computed once per image array."""
+        if self._image is None or self._image[0] is not u:
+            self._image = (u, *image_stats(u))
+        return self._image[1:]
+
+    def data_term(self, which: int, u: np.ndarray, c: float, lam: float = 1.0, *,
+                  work: np.ndarray | None = None) -> np.ndarray:
+        """lam * (u - c)^2 in data-term array ``which`` (0 or 1), rebuilt
+        only when u, c or lam differ from that array's last call; do not
+        write into it. Built as (u - c) * ((u - c) * lam), which is
+        bitwise ((u - c) * lam) * (u - c), and (u - c)^2 when lam is 1. A
+        lam other than 1 takes (u - c) * lam in ``work``, an (h, w) array
+        it overwrites (a new one when None).
+        """
+        entry = self._terms[which]
+        if entry is not None:
+            (image, c_was, lam_was), term = entry
+            if image is u and c_was == c and lam_was == lam:
+                return term
+        term = np.empty(self.shape) if entry is None else entry[1]
+        np.subtract(u, c, out=term)
+        if lam == 1.0:
+            term *= term
+        else:
+            term *= np.multiply(term, lam, out=work)
+        self._terms[which] = ((u, c, lam), term)
+        return term
+
+
+def image_stats(u: np.ndarray) -> tuple[float, float]:
+    """(mean, max) of an image over all its pixels."""
+    flat = u.ravel()
+    return float(flat.mean()), float(flat.max())
 
 
 def curvature(phi: ScalarField, eta: float = CURVATURE_ETA) -> ScalarField:
@@ -195,15 +275,27 @@ def curvature(phi: ScalarField, eta: float = CURVATURE_ETA) -> ScalarField:
     return phi.like(curvature_array(phi.data, phi.spacing, eta))
 
 
+def _rows_of(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    # the (h, w) pixels of a buffer laid out as h rows of w + 2 values
+    h, w = shape
+    return buffer[:h * (w + 2)].reshape(h, w + 2)[:, 1:-1]
+
+
 def curvature_array(phi: np.ndarray, spacing: float = 1.0,
                     eta: float = CURVATURE_ETA, *,
                     scratch: Scratch | None = None) -> np.ndarray:
     """The stencil of ``curvature`` on a raw array, computed in ``scratch``
-    (a fresh set when None) and returned in a new array. The power 3/2 is
-    taken as den * sqrt(den), within 1 ulp of den ** 1.5; every other
-    operation is done in the order the formula reads. The result is not
-    validated: a phi so steep that the stencil overflows gives NaN or Inf,
-    which the caller checks for.
+    (a fresh set when None) and returned in a new array, the only one it
+    allocates. The power 3/2 is taken as den * sqrt(den), within 1 ulp of
+    den ** 1.5; every other operation is done in the order the formula
+    reads. The result is not validated: a phi so steep that the stencil
+    overflows gives NaN or Inf, which the caller checks for.
+
+    Every array operation is one flat run over the rows of the padded copy
+    of phi, from its first pixel to its last: a neighbour is the same run
+    shifted by 1 (x), by a padded row (y) or by both (the diagonals). The
+    run also passes the border columns between rows; what it writes there
+    is never read.
     """
     if not (eta > 0):
         raise ValueError(f"eta must be positive, got {eta}")
@@ -216,30 +308,43 @@ def curvature_array(phi: np.ndarray, spacing: float = 1.0,
     p[-1, 1:-1] = phi[-1]
     p[:, 0] = p[:, 1]
     p[:, -1] = p[:, -2]
-    c = p[1:-1, 1:-1]
-    left, right, up, down = p[1:-1, :-2], p[1:-1, 2:], p[:-2, 1:-1], p[2:, 1:-1]
-    px, py, pxx, pyy, pxy = s.arrays
-    np.subtract(right, left, out=px)
-    px /= 2.0 * h
-    np.subtract(down, up, out=py)
-    py /= 2.0 * h
-    for second, plus, minus in ((pxx, right, left), (pyy, down, up)):
-        np.multiply(c, 2.0, out=second)
-        np.subtract(plus, second, out=second)
-        second += minus
-        second /= h * h
-    np.subtract(p[2:, 2:], p[2:, :-2], out=pxy)
-    pxy -= p[:-2, 2:]
-    pxy += p[:-2, :-2]
-    pxy /= 4.0 * h * h
+    row = p.shape[1]
+    first, n = row + 1, phi.shape[0] * row - 2
+    flat = p.reshape(-1)
 
-    out = np.multiply(px, 2.0)
+    def shifted(offset):
+        return flat[first + offset:first + offset + n]
+
+    c, left, right = shifted(0), shifted(-1), shifted(1)
+    up, down = shifted(-row), shifted(row)
+    # pixel (i, j) sits at i * row + j + 1 of every buffer, as in _rows_of
+    px, py, pxx, pyy, pxy = (b[1:n + 1] for b in s.buffers)
+    np.subtract(right, left, out=px)
+    divide_by(px, 2.0 * h)
+    np.subtract(down, up, out=py)
+    divide_by(py, 2.0 * h)
+    # pxx = (right - 2c + left) / h^2 and pyy = (down - 2c + up) / h^2
+    np.multiply(c, 2.0, out=pxx)
+    np.subtract(down, pxx, out=pyy)
+    pyy += up
+    divide_by(pyy, h * h)
+    np.subtract(right, pxx, out=pxx)
+    pxx += left
+    divide_by(pxx, h * h)
+    np.subtract(shifted(row + 1), shifted(row - 1), out=pxy)
+    pxy -= shifted(1 - row)
+    pxy += shifted(-row - 1)
+    divide_by(pxy, 4.0 * h * h)
+
+    # the differences are taken, so the padded buffer takes the cross term
+    cross = flat[1:n + 1]
+    np.multiply(px, 2.0, out=cross)
     # num = pxx*py*py - 2*px*py*pxy + pyy*px*px, built in pxx
-    out *= py
-    out *= pxy
+    cross *= py
+    cross *= pxy
     pxx *= py
     pxx *= py
-    pxx -= out
+    pxx -= cross
     pyy *= px
     pyy *= px
     pxx += pyy
@@ -248,9 +353,10 @@ def curvature_array(phi: np.ndarray, spacing: float = 1.0,
     np.multiply(py, py, out=pxy)
     pyy += pxy
     pyy += eta
-    np.sqrt(pyy, out=out)
-    out *= pyy
-    np.divide(pxx, out, out=out)
+    np.sqrt(pyy, out=cross)
+    cross *= pyy
+    out = np.divide(_rows_of(s.buffers[2], phi.shape), _rows_of(flat, phi.shape),
+                    out=np.empty(phi.shape))
     bound = 1.0 / h
     return np.clip(out, -bound, bound, out=out)
 

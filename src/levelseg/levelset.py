@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, Scratch
+from .grid import ScalarField, Scratch, divide_by
 
 BORDER_MARGIN = 2.0  # init shapes must keep this many pixels of clearance
 
@@ -142,7 +142,9 @@ def reinitialize(phi: ScalarField, iterations: int = 10, *,
     of the next one (0 past the last), so only b is stored, and the Godunov
     term max(max(b, 0)^2, min(f, 0)^2) is taken as max(b, -f, 0)^2 (inside;
     min(b, -f, 0)^2 outside), which is exact for squares of non-negative
-    numbers.
+    numbers. b in x and the -f shift are each one pass over the flattened
+    rows, which also crosses from each row's end to the next row's start;
+    the first column of b and the last of -f are then set to 0.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -158,16 +160,18 @@ def reinitialize(phi: ScalarField, iterations: int = 10, *,
     np.divide(d0, dts, out=dts)
     dts *= 0.5 * h
     d = d0.copy()
+    # 1-D views of the rows, for the x-differences
+    d_run, bx_run, grad_run = d.reshape(-1), bx.reshape(-1), grad.reshape(-1)
     for _ in range(iterations):
         # backward differences; the first column and row replicate the edge
-        np.subtract(d[:, 1:], d[:, :-1], out=bx[:, 1:])
+        np.subtract(d_run[1:], d_run[:-1], out=bx_run[1:])
         bx[:, 0] = 0.0
-        bx /= h
+        divide_by(bx, h)
         np.subtract(d[1:], d[:-1], out=by[1:])
         by[0] = 0.0
-        by /= h
+        divide_by(by, h)
         # -f: the next pixel's b, negated; 0 past the last column and row
-        np.negative(bx[:, 1:], out=grad[:, :-1])
+        np.negative(bx_run[1:], out=grad_run[:-1])
         grad[:, -1] = 0.0
         _godunov_term(bx, grad, low, negative)
         np.negative(by[1:], out=bx[:-1])

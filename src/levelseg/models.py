@@ -27,6 +27,7 @@ from .grid import (
     gradient,
     gradient_magnitude,
     heaviside_eps,
+    image_stats,
     magnitude,
 )
 
@@ -119,18 +120,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def region_averages(u0: ScalarField, phi: ScalarField) -> RegionStats:
+def region_averages(u0: ScalarField, phi: ScalarField, *,
+                    scratch: Optional[Scratch] = None) -> RegionStats:
     """Mean intensity inside {phi >= 0} and outside {phi < 0}.
 
     A transiently empty region gets the global mean instead of NaN so the
-    evolution can continue; the flag records the degeneracy.
+    evolution can continue; the flag records the degeneracy. The global
+    mean and max come from ``scratch`` when given, which computes them once
+    per image.
     """
     _check_dims(u0, phi)
     u = u0.data.ravel()
     inside = phi.data.ravel() >= 0.0
     n_in = int(np.count_nonzero(inside))
     n_out = u.size - n_in
-    global_mean = float(u.mean())
+    global_mean, max_intensity = (image_stats(u0.data) if scratch is None
+                                  else scratch.image_stats(u0.data))
     # sums over the mask as dot products, without copying u[inside]
     c1 = _dot(u, inside) / n_in if n_in else global_mean
     np.logical_not(inside, out=inside)
@@ -140,7 +145,7 @@ def region_averages(u0: ScalarField, phi: ScalarField) -> RegionStats:
         c2=c2,
         n_inside=n_in,
         n_outside=n_out,
-        max_intensity=float(u.max()),
+        max_intensity=max_intensity,
         empty_inside=n_in == 0,
         empty_outside=n_out == 0,
     )
@@ -156,9 +161,9 @@ def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     Returns ``stats`` with c1 and c2 replaced, and H, so that the energy at
     the same phi need not compute it again. H and 1 - H are written into
     arrays 0 and 1 of ``scratch`` (a fresh set when None), and the H
-    returned is array 0 of that set. Pixel counts and empty flags stay
-    those of the hard partition in ``stats``; a weight sum that underflows
-    to 0 gives the global mean.
+    returned is array 0 of that set; energy_region can take array 1 as
+    not_H. Pixel counts and empty flags stay those of the hard partition in
+    ``stats``; a weight sum that underflows to 0 gives the global mean.
     """
     u = u0.data.ravel()
     H, not_H = Scratch.ensure(scratch, u0.data.shape).arrays[:2]
@@ -190,24 +195,19 @@ def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
 
     The terms are summed in that order into the new array that
     curvature_array returns, with ``scratch`` (a fresh set when None) as
-    work space: arrays 0-1 for the data terms and 2 for delta_eps. The
-    result is not validated, so a phi that overflows the curvature stencil
-    gives NaN or Inf here rather than an exception.
+    work space: its data_term arrays for the two data terms, which a
+    reused set builds only when their constant changes, array 0 to build a
+    term with lam other than 1, and array 2 for delta_eps. The result is not validated, so a phi that overflows the
+    curvature stencil gives NaN or Inf here rather than an exception.
     """
     u = u0.data
     scratch = Scratch.ensure(scratch, u.shape)
     rhs = curvature_array(phi.data, phi.spacing, scratch=scratch)
-    dev, term, delta = scratch.arrays[:3]
-    delta_eps(phi.data, params.eps, out=delta)
+    delta = delta_eps(phi.data, params.eps, out=scratch.arrays[2])
     rhs *= params.mu
     rhs -= params.nu
-    np.subtract(u, inside_target, out=dev)
-    np.multiply(dev, lam, out=term)
-    term *= dev
-    rhs -= term
-    np.subtract(u, outside_const, out=dev)
-    dev *= dev
-    rhs += dev
+    rhs -= scratch.data_term(0, u, inside_target, lam, work=scratch.arrays[0])
+    rhs += scratch.data_term(1, u, outside_const)
     rhs *= delta
     return rhs
 
@@ -268,29 +268,30 @@ def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *
 def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
                   outside_const: float, lam: float, params: EvolveParams,
                   H: Optional[np.ndarray] = None, *,
+                  not_H: Optional[np.ndarray] = None,
                   scratch: Optional[Scratch] = None) -> float:
     """Discrete energy shared by both region models, cell area h^2:
 
         lam sum (u0 - inside)^2 H + sum (u0 - outside)^2 (1 - H)
             + mu sum delta_eps(phi) |grad phi| + nu sum H
 
-    with H = heaviside_eps(phi, eps), or ``H`` if the caller has it already
-    (it is read, not written). Each sum is a dot product over arrays 1-4 of
-    ``scratch`` (a fresh set when None; H goes into array 0 when not given).
-    Not validated: a phi whose gradient overflows gives NaN or Inf.
+    with H = heaviside_eps(phi, eps), or ``H`` if the caller has it already,
+    and 1 - H likewise, or ``not_H`` (both are read, not written). Each sum
+    is a dot product. The squares (u0 - c)^2 are the data_term arrays of
+    ``scratch`` (a fresh set when None), which a reused set shares with
+    region_rhs; H goes into array 0 and 1 - H into array 1 when not given,
+    and arrays 1-4 take the length term. Not validated: a phi whose
+    gradient overflows gives NaN or Inf.
     """
     u = u0.data
     s = Scratch.ensure(scratch, u.shape)
     if H is None:
         H = heaviside_eps(phi.data, params.eps, out=s.arrays[0])
     weight, dx, dy, work = s.arrays[1:]
-    # data terms: (u0 - c)^2 in work, against H and then 1 - H in weight
-    np.subtract(u, inside_target, out=work)
-    work *= work
-    inside = _dot(work, H)
-    np.subtract(u, outside_const, out=work)
-    work *= work
-    outside = _dot(work, np.subtract(1.0, H, out=weight))
+    if not_H is None:
+        not_H = np.subtract(1.0, H, out=weight)
+    inside = _dot(s.data_term(0, u, inside_target), H)
+    outside = _dot(s.data_term(1, u, outside_const), not_H)
     area = float(H.sum())
     # length term: delta_eps in weight, |grad phi| in work
     length = _dot(delta_eps(phi.data, params.eps, out=weight),

@@ -14,7 +14,6 @@ raising or warning.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,13 +101,15 @@ def _stats_and_energy(model, u0, u_model, phi, params, scratch):
     """Region stats of phi, the region_terms of a region model (None for the
     geodesic flow) and the energy at phi, with ``scratch`` as work space.
     The region models get the H_eps-weighted constants, and their energy
-    reuses that H_eps, which weighted_averages leaves in the set."""
-    stats = region_averages(u0, phi)
+    reuses that H_eps and 1 - H_eps, which weighted_averages leaves in
+    arrays 0 and 1 of the set."""
+    stats = region_averages(u0, phi, scratch=scratch)
     if model == "geodesic":
         return stats, None, energy_geodesic(u_model, phi, params, scratch=scratch)
     stats, H = weighted_averages(u0, phi, stats, params.eps, scratch=scratch)
     terms = region_terms(model, stats, params)
-    return stats, terms, energy_region(u0, phi, *terms, params, H=H, scratch=scratch)
+    return stats, terms, energy_region(u0, phi, *terms, params, H=H,
+                                       not_H=scratch.arrays[1], scratch=scratch)
 
 
 def _crossings(phi: np.ndarray) -> list:
@@ -140,12 +141,24 @@ def _interface_motion(before, after) -> float:
     """
     moved, edges = 0.0, 0
     for (keys0, t0), (keys1, t1) in zip(before, after):
-        common, i0, i1 = np.intersect1d(keys0, keys1, assume_unique=True,
-                                        return_indices=True)
-        once = len(keys0) + len(keys1) - 2 * len(common)
+        i0, i1 = _shared_keys(keys0, keys1)
+        once = len(keys0) + len(keys1) - 2 * len(i0)
         moved += float(np.abs(t1[i1] - t0[i0]).sum()) + once
-        edges += len(common) + once
+        edges += len(i0) + once
     return moved / edges if edges else 0.0
+
+
+def _shared_keys(keys0: np.ndarray, keys1: np.ndarray) -> tuple:
+    """(i0, i1) with keys0[i0] == keys1[i1], over the keys in both sorted,
+    unique key arrays in ascending order: the indices that
+    np.intersect1d(keys0, keys1, assume_unique=True, return_indices=True)
+    returns, found by binary search instead of its merge sort.
+    """
+    i0 = np.searchsorted(keys0, keys1)
+    found = i0 < len(keys0)
+    found[found] = keys0[i0[found]] == keys1[found]
+    i1 = np.flatnonzero(found)
+    return i0[i1], i1
 
 
 def evolve(model: str, u0: ScalarField, phi0: ScalarField,
@@ -208,7 +221,10 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
                         else region_rhs(u0, phi, *terms, params, scratch=scratch))
             new_data *= dt
             new_data += phi.data
-            if not np.all(np.isfinite(new_data)):
+            try:
+                # the field's own check is the step's one finiteness check
+                phi = phi.like(new_data)
+            except ValueError:
                 stop_reason = "stalled"
                 diagnostics = (
                     f"phi went non-finite at iteration {it} "
@@ -216,7 +232,6 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
                 )
                 break
             event = "step"
-            phi = phi.like(new_data)
             if params.reinit_every > 0 and it % params.reinit_every == 0:
                 phi = reinitialize(phi, params.reinit_sweeps, scratch=scratch)
                 event = "reinit"

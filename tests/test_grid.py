@@ -14,6 +14,7 @@ from levelseg.grid import (
     curvature,
     curvature_array,
     delta_eps,
+    divide_by,
     edge_detector,
     gaussian_smooth,
     gradient,
@@ -218,6 +219,114 @@ class TestCurvature:
     def test_scratch_of_another_shape_is_refused(self):
         with pytest.raises(ValueError):
             curvature_array(np.zeros((5, 6)), scratch=Scratch((6, 5)))
+
+
+def curvature_array_reference(phi, spacing=1.0, eta=CURVATURE_ETA):
+    """curvature_array as it was before its stencils became flat runs: the
+    same operations in the same order on 2-D views of a padded copy, in
+    arrays of its own. curvature_array must give the same bits."""
+    h = spacing
+    p = np.pad(phi, 1, mode="edge")
+    c = p[1:-1, 1:-1]
+    left, right, up, down = p[1:-1, :-2], p[1:-1, 2:], p[:-2, 1:-1], p[2:, 1:-1]
+    px, py, pxx, pyy, pxy = (np.empty(phi.shape) for _ in range(5))
+    np.subtract(right, left, out=px)
+    px /= 2.0 * h
+    np.subtract(down, up, out=py)
+    py /= 2.0 * h
+    for second, plus, minus in ((pxx, right, left), (pyy, down, up)):
+        np.multiply(c, 2.0, out=second)
+        np.subtract(plus, second, out=second)
+        second += minus
+        second /= h * h
+    np.subtract(p[2:, 2:], p[2:, :-2], out=pxy)
+    pxy -= p[:-2, 2:]
+    pxy += p[:-2, :-2]
+    pxy /= 4.0 * h * h
+    out = np.multiply(px, 2.0)
+    out *= py
+    out *= pxy
+    pxx *= py
+    pxx *= py
+    pxx -= out
+    pyy *= px
+    pyy *= px
+    pxx += pyy
+    np.multiply(px, px, out=pyy)
+    np.multiply(py, py, out=pxy)
+    pyy += pxy
+    pyy += eta
+    np.sqrt(pyy, out=out)
+    out *= pyy
+    np.divide(pxx, out, out=out)
+    return np.clip(out, -1.0 / h, 1.0 / h, out=out)
+
+
+# shapes whose rows are short, or fewer than the columns, and spacings != 1
+FLAT_RUN_SHAPES = [(3, 3, 1.0), (5, 9, 0.5), (9, 5, 0.5), (40, 24, 2.0)]
+
+
+class TestFlatRuns:
+    """The x-stencils run over the flattened rows and then fix the border
+    columns; the results must be the bits of the 2-D formulas."""
+
+    @pytest.mark.parametrize("height, width, spacing", FLAT_RUN_SHAPES)
+    def test_curvature_equals_the_reference_bit_for_bit(self, height, width, spacing):
+        rng = np.random.default_rng(height * 100 + width)
+        scratch = Scratch((height, width))
+        for phi in (rng.normal(size=(height, width)) * 5.0,
+                    ndsmooth(rng.normal(size=(height, width))) * 40.0):
+            expected = curvature_array_reference(phi, spacing).tobytes()
+            assert curvature_array(phi, spacing).tobytes() == expected
+            assert curvature_array(phi, spacing, scratch=scratch).tobytes() == expected
+            # a phi that is not row-major is read as it is
+            flipped = np.asfortranarray(phi)
+            assert curvature_array(flipped, spacing, scratch=scratch).tobytes() == expected
+
+    @pytest.mark.parametrize("height, width, spacing", FLAT_RUN_SHAPES)
+    def test_gradient_into_the_set_equals_numpy(self, height, width, spacing):
+        f = np.random.default_rng(height * width).normal(size=(height, width)) * 7.0
+        dy, dx = np.gradient(f, spacing)
+        scratch = Scratch((height, width))
+        scratch.arrays[0].fill(np.nan)  # nothing of an earlier use may show
+        g = gradient(ScalarField(f, spacing), out=scratch.arrays[:2])
+        assert g.dx is scratch.arrays[0] and g.dy is scratch.arrays[1]
+        assert g.dx.tobytes() == dx.tobytes()
+        assert g.dy.tobytes() == dy.tobytes()
+
+    def test_gradient_refuses_an_output_that_is_not_row_major(self):
+        f = ScalarField(np.zeros((5, 6)))
+        with pytest.raises(ValueError):
+            gradient(f, out=(np.empty((6, 5)).T, np.empty((5, 6))))
+
+    def test_fields_are_row_major(self):
+        data = np.arange(20.0).reshape(4, 5)
+        field = ScalarField(data.T)
+        assert field.data.flags.c_contiguous
+        assert field.data.tobytes() == np.ascontiguousarray(data.T).tobytes()
+        # a row-major float64 array is taken as it is
+        assert ScalarField(data).data is data
+
+    def test_set_arrays_are_views_of_its_buffers(self):
+        scratch = Scratch((7, 4))
+        assert len(scratch.buffers) == len(scratch.arrays) == 5
+        for array, buffer in zip(scratch.arrays, scratch.buffers):
+            assert array.shape == (7, 4) and array.flags.c_contiguous
+            assert buffer.shape == (7 * 6,)
+            assert np.shares_memory(array, buffer)
+
+
+class TestDivideBy:
+    @pytest.mark.parametrize("d", [1.0, 2.0, 0.25, 4.0 * 2.5 * 2.5, 2.0 ** -1020,
+                                   2.0 ** 1000, 0.74, 3.0, 1e-300, 5e-324])
+    def test_equals_the_quotient_bit_for_bit(self, d):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=4000) * 10.0 ** rng.integers(-320, 300, size=4000)
+        a[:6] = [0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7e308]
+        with np.errstate(over="ignore"):  # both sides overflow alike
+            expected = a / d
+            divide_by(a, d)
+        assert a.tobytes() == expected.tobytes()
 
 
 def ndsmooth(a):

@@ -198,8 +198,10 @@ def reinitialize_reference(phi: ScalarField, iterations: int) -> np.ndarray:
 
 
 class TestReinitialize:
+    # 5x9 and 9x5 have short rows, or fewer rows than columns, for the
+    # x-differences that run over the flattened rows
     @pytest.mark.parametrize("height, width, spacing", [
-        (3, 3, 1.0), (7, 11, 0.37), (64, 200, 2.5), (40, 24, 2.0),
+        (3, 3, 1.0), (7, 11, 0.37), (64, 200, 2.5), (40, 24, 2.0), (5, 9, 0.5), (9, 5, 0.5),
     ])
     def test_equals_the_reference_sweep_bit_for_bit(self, height, width, spacing):
         rng = np.random.default_rng(height + width)

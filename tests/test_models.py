@@ -26,6 +26,7 @@ from levelseg.models import (
     energy_region,
     region_averages,
     region_rhs,
+    region_terms,
     weighted_averages,
 )
 
@@ -535,3 +536,73 @@ class TestRegionStepInTheWorkSet:
             finally:
                 tracemalloc.stop()
             assert peak < arrays * phi.data.nbytes, step.__name__
+
+
+class TestRunMemo:
+    """A reused set keeps u0's mean and max and the data terms
+    lam * (u0 - c)^2 keyed on the image, c and lam; whatever it reuses,
+    the kernels must give the bytes of a fresh set."""
+
+    @staticmethod
+    def images(shape=(24, 40), spacing=0.5):
+        rng = np.random.default_rng(31)
+        bright = rng.random(shape)
+        dim = 0.5 * rng.random(shape)
+        return ScalarField(bright, spacing), ScalarField(dim, spacing)
+
+    def test_reused_set_across_images_and_constants(self):
+        first, second = self.images()
+        phi = ScalarField(disk_sdf(40, 24, 20.0, 12.0, 7.0).data * 0.5, 0.5)
+        params = EvolveParams(mu=0.3, nu=0.1)
+        scratch = Scratch(phi.data.shape)
+        # a constant changes, lam changes, lam comes back, the image changes
+        # under the same constants, and then back again
+        calls = [(first, 0.8, 0.2, 1.0), (first, 0.8, 0.3, 1.0), (first, 0.6, 0.3, 1.5),
+                 (first, 0.6, 0.3, 1.0), (second, 0.6, 0.3, 1.0), (first, 0.6, 0.3, 1.0),
+                 (second, 0.6, 0.3, 1.5)]
+        for u0, inside, outside, lam in calls:
+            terms = (inside, outside, lam)
+            fresh = region_rhs(u0, phi, *terms, params)
+            assert region_rhs(u0, phi, *terms, params, scratch=scratch).tobytes() \
+                == fresh.tobytes()
+            assert energy_region(u0, phi, *terms, params, scratch=scratch) \
+                == energy_region(u0, phi, *terms, params)
+            assert region_averages(u0, phi, scratch=scratch) == region_averages(u0, phi)
+
+    @pytest.mark.parametrize("model, lam", [("chan_vese", 1.0), ("chan_vese", 1.7),
+                                            ("modified", 1.0)])
+    def test_reused_set_across_region_steps(self, model, lam):
+        # the solver's order: stats and energy at phi, then the rhs with
+        # the same terms, then a step; the energy's 1 - H is weighted_averages'
+        u0 = self.images(spacing=1.0)[0]
+        phi = ScalarField(disk_sdf(40, 24, 18.0, 11.0, 6.0).data)
+        params = EvolveParams(mu=0.3, lam=lam)
+        scratch = Scratch(phi.data.shape)
+        for _ in range(6):
+            stats = region_averages(u0, phi, scratch=scratch)
+            assert stats == region_averages(u0, phi)
+            stats, H = weighted_averages(u0, phi, stats, params.eps, scratch=scratch)
+            terms = region_terms(model, stats, params)
+            energy = energy_region(u0, phi, *terms, params, H=H, not_H=scratch.arrays[1],
+                                   scratch=scratch)
+            assert energy == energy_region(u0, phi, *terms, params)
+            rhs = region_rhs(u0, phi, *terms, params, scratch=scratch)
+            assert rhs.tobytes() == region_rhs(u0, phi, *terms, params).tobytes()
+            phi = phi.like(phi.data + 0.5 * rhs)
+
+    def test_data_terms_are_built_once_per_key(self):
+        u0 = self.images()[0]
+        scratch = Scratch(u0.data.shape)
+        a = scratch.data_term(1, u0.data, 0.25)
+        assert scratch.data_term(1, u0.data, 0.25) is a
+        assert a.tobytes() == ((u0.data - 0.25) ** 2).tobytes()
+        # lam 1.5: ((u - c) * lam) * (u - c), in the order of the formula
+        work = np.empty(u0.data.shape)
+        b = scratch.data_term(0, u0.data, 0.25, 1.5, work=work)
+        dev = u0.data - 0.25
+        assert b.tobytes() == ((dev * 1.5) * dev).tobytes()
+        assert b is not a and scratch.data_term(1, u0.data, 0.25) is a
+        # the two terms live beside the five arrays, not in them
+        for term in (a, b):
+            assert not any(np.shares_memory(term, buf)
+                           for buf in (scratch.padded, *scratch.buffers))

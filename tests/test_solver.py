@@ -12,6 +12,7 @@ from levelseg.solver import (
     SegmentationResult,
     _crossings,
     _interface_motion,
+    _shared_keys,
     evolve,
     stability_dt,
     trace_csv,
@@ -265,6 +266,33 @@ class TestInterfaceMotion:
     def test_no_contour_is_still(self):
         flat = np.ones((5, 6))
         assert _interface_motion(_crossings(flat), _crossings(flat)) == 0.0
+
+
+class TestSharedKeys:
+    @staticmethod
+    def reference(keys0, keys1):
+        return np.intersect1d(keys0, keys1, assume_unique=True, return_indices=True)[1:]
+
+    @staticmethod
+    def keys(rng, n, top):
+        return np.flatnonzero(rng.random(top) < n / top)
+
+    def test_equals_intersect1d_bytewise(self):
+        rng = np.random.default_rng(5)
+        empty = np.flatnonzero(np.zeros(10, dtype=bool))
+        cases = [(empty, empty), (empty, np.arange(4)), (np.arange(4), empty),
+                 (np.arange(0, 20, 2), np.arange(1, 20, 2)),  # disjoint, interleaved
+                 (np.arange(5), np.arange(10, 15)),  # disjoint, one before the other
+                 (np.arange(3, 9), np.arange(3, 9))]  # identical
+        for _ in range(50):
+            top = int(rng.integers(1, 400))
+            cases.append((self.keys(rng, rng.integers(0, top + 1), top),
+                          self.keys(rng, rng.integers(0, top + 1), top)))
+        for keys0, keys1 in cases:
+            got = _shared_keys(keys0, keys1)
+            want = self.reference(keys0, keys1)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestEnergyDescent:
