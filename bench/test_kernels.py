@@ -1,6 +1,7 @@
-"""Micro-benchmarks of the per-step kernels of all three models at 256^2
-and 512^2, each with a fresh work set per call and, where a kernel takes
-one, with a reused grid.Scratch as evolve passes it:
+"""Micro-benchmarks of the per-step kernels of all three models at 256^2,
+512^2 and 1024^2, each with a fresh work set per call and, where a kernel
+takes one, with a reused grid.Scratch as evolve passes it. From 512^2 on,
+the kernels run on row slabs, one per usable CPU (grid.split_rows):
 
     python -m pytest bench/test_kernels.py
 
@@ -36,7 +37,7 @@ from levelseg.solver import _crossings, _interface_motion
 SCRATCH = pytest.mark.parametrize("scratch", ["fresh", "reused"])
 
 
-@pytest.fixture(scope="module", params=[256, 512], ids=lambda n: f"{n}px")
+@pytest.fixture(scope="module", params=[256, 512, 1024], ids=lambda n: f"{n}px")
 def fields(request):
     n = request.param
     u0 = ScalarField(np.random.default_rng(n).random((n, n)))

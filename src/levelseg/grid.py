@@ -5,13 +5,30 @@ consumes these primitives: gradients, mean curvature of level sets, the
 regularized Heaviside/delta pair, and the gradient-based edge detector.
 All operations are deterministic; the only state they write is a Scratch
 work set or an ``out`` array that the caller passes in.
+
+On a field of at least 2^18 pixels, the row-local passes run on row slabs,
+one per usable CPU (at most four): in split_rows, the calling thread and
+the module's worker threads, which start on the first split, claim the
+slabs one at a time. Each slab writes only its own rows of an output or of
+the Scratch set, so every result has the bits of the one-slab pass. A pass
+that reads rows a neighbouring slab writes in the same pass is split in
+two at that point (a join), or recomputes the row it needs, as
+curvature_array and levelset.reinitialize do. Sums and dot products stay
+whole-array passes: a split would change their summation order. A slab
+runs in a copy of the caller's context, so that the np.errstate the caller
+set holds on the workers too. Slab bodies are private functions that
+allocate no field-sized array and call no public kernel of this package.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -19,6 +36,159 @@ import scipy.ndimage as ndi
 # Guard added to |grad phi|^2 inside the curvature denominator; keeps the
 # stencil branch-free where the gradient vanishes.
 CURVATURE_ETA = 1e-8
+
+# A field of fewer pixels runs as one slab: at 256^2 and 384^2, where the
+# arrays fit in one core's cache, two slabs measured slower than one.
+_SLAB_FLOOR = 1 << 18
+_MAX_SLABS = 4
+
+
+def _cpu_count() -> int:
+    # the CPUs this process may run on, which taskset or a cpuset can narrow
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _slab_count(rows: int, pixels: int) -> int:
+    if pixels < _SLAB_FLOOR:
+        return 1
+    return max(1, min(_cpu_count(), _MAX_SLABS, rows))
+
+
+class _Split:
+    """One call of split_rows: its slabs, which the calling thread and the
+    workers it hired claim one at a time, and what each slab raised. A
+    worker that wakes late finds the slabs claimed, so a slow worker costs
+    the caller the slab it has started, not the ones it has not."""
+
+    def __init__(self, body, slabs):
+        self._body, self._slabs = body, slabs
+        self._claimed, self._unfinished = 0, len(slabs)
+        self._lock = threading.Lock()
+        self.finished = threading.Lock()  # held until every slab has run
+        self.finished.acquire()
+        self.errors = [None] * len(slabs)
+
+    def work(self):
+        """Run unclaimed slabs until none is left."""
+        while True:
+            with self._lock:
+                index = self._claimed
+                if index == len(self._slabs):
+                    return
+                self._claimed += 1
+            try:
+                self._body(*self._slabs[index])
+            except BaseException as error:  # split_rows raises it
+                self.errors[index] = error
+            with self._lock:
+                self._unfinished -= 1
+                if not self._unfinished:
+                    self.finished.release()
+
+
+class _Worker:
+    """A thread that runs the slabs of one split at a time, then puts
+    itself back on the idle list. A lock hands it each split, so it is
+    never handed a second one before it has taken the first."""
+
+    def __init__(self):
+        self._go = threading.Lock()
+        self._go.acquire()
+        self._task = None
+        threading.Thread(target=self._serve, name="levelseg-slab", daemon=True).start()
+
+    def start(self, split: _Split) -> None:
+        self._task = (contextvars.copy_context(), split)
+        self._go.release()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            context, split = self._task
+            self._task = None
+            context.run(split.work)
+            del context, split  # an idle worker keeps nothing of the last split
+            _idle.append(self)
+
+
+def _no_workers():
+    # the idle workers that split_rows may hire; none until the first
+    # split. list.append and list.pop are atomic, so the list needs no lock
+    global _idle, _started, _start_lock
+    _idle, _started, _start_lock = [], 0, threading.Lock()
+
+
+_no_workers()
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's threads
+    os.register_at_fork(after_in_child=_no_workers)
+
+
+def _idle_worker() -> _Worker | None:
+    # an idle worker, a new one while there are fewer than _MAX_SLABS - 1,
+    # or None when all of them are busy, in concurrent splits or still
+    # finishing a split whose slabs the caller ran
+    global _started
+    try:
+        return _idle.pop()
+    except IndexError:
+        with _start_lock:
+            if _started == _MAX_SLABS - 1:
+                return None
+            _started += 1
+        return _Worker()
+
+
+def split_rows(body: Callable[[int, int], None], rows: int, pixels: int) -> None:
+    """Run body(lo, hi) over row slabs [lo, hi) that partition range(rows)
+    of a field of ``pixels`` values: one slab under 2^18 pixels, else one
+    per usable CPU, at most four. The calling thread and up to one idle
+    worker thread per further slab claim the slabs one at a time, so the
+    caller runs every slab that no worker has started; a worker runs its
+    slabs in a copy of the caller's contextvars context, where np.errstate
+    lives. It returns only once every slab has finished, also when one
+    raises, and then re-raises the error of the first slab that raised.
+    With one slab, body(0, rows) is the whole call. A body must write only
+    its own rows, allocate no field-sized array, and never call split_rows.
+    """
+    n = _slab_count(rows, pixels)
+    if n == 1:
+        body(0, rows)
+        return
+    cuts = [rows * k // n for k in range(n + 1)]
+    split = _Split(body, list(zip(cuts[:-1], cuts[1:])))
+    for _ in range(n - 1):
+        worker = _idle_worker()
+        if worker is None:
+            break
+        worker.start(split)
+    split.work()
+    split.finished.acquire()
+    for error in split.errors:
+        if error is not None:
+            raise error
+
+
+def rowwise(body: Callable, out: np.ndarray, *args) -> np.ndarray:
+    """body(out, *args) for an elementwise ``body``, run by split_rows over
+    row slabs of ``out``, which it returns. An argument with out's rows
+    (out's number of dimensions and length) is cut into the same slabs;
+    any other, a scalar or an array that broadcasts, is passed whole.
+    """
+    if out.ndim == 0 or _slab_count(len(out), out.size) == 1:
+        body(out, *args)
+        return out
+    rows = len(out)
+    cut = [np.ndim(a) == out.ndim and len(a) == rows for a in args]
+
+    def slab(lo, hi):
+        body(out[lo:hi], *[a[lo:hi] if c else a for a, c in zip(args, cut)])
+
+    split_rows(slab, rows, out.size)
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,7 +211,7 @@ class ScalarField:
                 f"field must be at least 3x3 (stencils need an interior ring), "
                 f"got {arr.shape[1]}x{arr.shape[0]}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("field contains NaN or Inf values")
         if not (self.spacing > 0):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
@@ -58,6 +228,18 @@ class ScalarField:
     def like(self, data: np.ndarray) -> "ScalarField":
         """A new field with the same spacing."""
         return ScalarField(data, self.spacing)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # finite when the max and min are: a NaN anywhere makes both NaN
+    finite = []
+
+    def slab(lo, hi):
+        rows = a[lo:hi]
+        finite.append(bool(np.isfinite(rows.max()) and np.isfinite(rows.min())))
+
+    split_rows(slab, len(a), a.size)
+    return all(finite)
 
 
 class Gradient(NamedTuple):
@@ -78,15 +260,40 @@ def magnitude(dx: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
     Within 1 ulp of np.hypot, which is 2-3x slower on an image's gradients,
     except below 1e-154, where the squares underflow. np.hypot takes over
     when a component reaches 1e153, where a square could overflow; it reads
-    dx and dy as given.
+    dx and dy as given. That test is one for the whole array: each slab
+    finds its own peak, and the largest decides.
     """
-    peak = np.max([dx.max(initial=0.0), -dx.min(initial=0.0),
-                   dy.max(initial=0.0), -dy.min(initial=0.0)])
-    if not peak < _SQUARE_SAFE:
-        return np.hypot(dx, dy, out=out)
-    m = np.multiply(dx, dx, out=out)
+    out = np.empty_like(dx) if out is None else out
+    peaks = []
+
+    def peak(lo, hi):
+        x, y = dx[lo:hi], dy[lo:hi]
+        peaks.append(np.max([x.max(initial=0.0), -x.min(initial=0.0),
+                             y.max(initial=0.0), -y.min(initial=0.0)]))
+
+    split_rows(peak, len(dx), dx.size)
+    squares = np.max(peaks) < _SQUARE_SAFE  # False for a NaN peak
+    if squares and dy_squared is None:
+        dy_squared = np.empty_like(dy)
+    return rowwise(_magnitude_rows, out, dx, dy, dy_squared, squares)
+
+
+def _magnitude_rows(m, dx, dy, dy_squared, squares):
+    if not squares:
+        np.hypot(dx, dy, out=m)
+        return
+    np.multiply(dx, dx, out=m)
     m += np.multiply(dy, dy, out=dy_squared)
-    return np.sqrt(m, out=m)
+    np.sqrt(m, out=m)
+
+
+def _exact_reciprocal(d: float) -> float | None:
+    # 1 / d when d = 2^k and 1 / d is a float: then a * (1 / d) rounds to
+    # the same bits as a / d. None for any other d.
+    mantissa, exponent = math.frexp(d)
+    if mantissa == 0.5 and exponent > -1021:
+        return 1.0 / d
+    return None
 
 
 def divide_by(a: np.ndarray, d: float) -> None:
@@ -95,12 +302,11 @@ def divide_by(a: np.ndarray, d: float) -> None:
     a / d, and a multiply costs about a third of a divide (nothing when d
     is 1); that is how the stencils divide by 2h, h^2 or 4h^2.
     """
-    mantissa, exponent = math.frexp(d)
-    if mantissa == 0.5 and exponent > -1021:  # d = 2^k with 1 / d a float
-        if d != 1.0:
-            a *= 1.0 / d
-    else:
+    r = _exact_reciprocal(d)
+    if r is None:
         a /= d
+    elif r != 1.0:
+        a *= r
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -126,22 +332,35 @@ def gradient(f: ScalarField, *,
     overwritten with their one-sided differences.
     """
     d = f.data
-    h = f.spacing
     dx, dy = (np.empty_like(d), np.empty_like(d)) if out is None else out
-    np.subtract(d[2:], d[:-2], out=dy[1:-1])
-    divide_by(dy[1:-1], 2.0 * h)
-    np.subtract(d[1], d[0], out=dy[0])
-    np.subtract(d[-1], d[-2], out=dy[-1])
-    dy[0] /= h
-    dy[-1] /= h
-    run, dx_run = _flat(d), _flat(dx)
-    np.subtract(run[2:], run[:-2], out=dx_run[1:-1])
-    divide_by(dx_run[1:-1], 2.0 * h)
-    np.subtract(d[:, 1], d[:, 0], out=dx[:, 0])
-    np.subtract(d[:, -1], d[:, -2], out=dx[:, -1])
-    dx[:, 0] /= h
-    dx[:, -1] /= h
+    _flat(dx)  # refuses a dx that is not row-major
+    split_rows(functools.partial(_gradient_rows, d, f.spacing, dx, dy), len(d), d.size)
     return Gradient(dx, dy)
+
+
+def _gradient_rows(d, h, dx, dy, lo, hi):
+    last = len(d) - 1
+    top, bottom = max(lo, 1), min(hi, last)  # the slab's interior rows
+    np.subtract(d[top + 1:bottom + 1], d[top - 1:bottom - 1], out=dy[top:bottom])
+    divide_by(dy[top:bottom], 2.0 * h)
+    if lo == 0:
+        np.subtract(d[1], d[0], out=dy[0])
+        dy[0] /= h
+    if hi == last + 1:
+        np.subtract(d[-1], d[-2], out=dy[-1])
+        dy[-1] /= h
+    # the run starts after the slab's first pixel and ends before its last,
+    # which are border columns, so it reads no other slab's pixels
+    width = d.shape[1]
+    run, dx_run = _flat(d), _flat(dx)
+    start, stop = lo * width + 1, hi * width - 1
+    np.subtract(run[start + 1:stop + 1], run[start - 1:stop - 1], out=dx_run[start:stop])
+    divide_by(dx_run[start:stop], 2.0 * h)
+    rows = slice(lo, hi)
+    np.subtract(d[rows, 1], d[rows, 0], out=dx[rows, 0])
+    np.subtract(d[rows, -1], d[rows, -2], out=dx[rows, -1])
+    dx[rows, 0] /= h
+    dx[rows, -1] /= h
 
 
 def gradient_magnitude(f: ScalarField, *,
@@ -168,10 +387,14 @@ def edge_detector(z, *, out: np.ndarray | None = None):
     or arrays; an array result is written into ``out`` when given.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.multiply(z, z, out=_result(z.shape, out))
+    out = rowwise(_edge_detector_rows, _result(z.shape, out), z)
+    return out if out.ndim else float(out)
+
+
+def _edge_detector_rows(out, z):
+    np.multiply(z, z, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
-    return out if out.ndim else float(out)
 
 
 class Scratch:
@@ -179,14 +402,24 @@ class Scratch:
     and passes it to every kernel of the step, which run one after another,
     so that a step reuses the same memory instead of faulting in fresh
     temporaries. A set is for one caller at a time; concurrent runs each
-    need their own.
+    need their own. Within a kernel, the row slabs of split_rows write
+    disjoint rows of the set's arrays, in the caller's np.errstate. A pass
+    that reads rows another slab writes waits for every slab of the pass
+    before it: curvature_array's differences read the neighbours' rows of
+    ``padded``, which its cross term then overwrites, and a reinitialize
+    sweep reads the rows of phi next to its slab's, which the sweep
+    updates. The -f shift in y of reinitialize takes the next slab's first
+    row again from phi instead.
 
     ``buffers`` are five flat arrays of h * (w + 2) values, and ``arrays``
     the five (h, w) row-major views of their first h * w values.
-    ``padded`` is (h + 2) x (w + 2). curvature_array lays the buffers out
-    as rows of w + 2 values, one per row of ``padded``, so that each
-    stencil is one flat run through all rows; once its differences are
-    taken, ``padded`` is free and holds the cross term. Apart from that:
+    ``padded`` is (h + 2) x (w + 2), and the fifth buffer is its first
+    h * (w + 2) values, so the set holds about five fields, not six.
+    curvature_array lays buffers 0-3 out as rows of w + 2 values, one per
+    row of ``padded``, so that each stencil is one flat run through all
+    rows, and keeps its fifth difference in the array it returns; once its
+    differences are taken, ``padded`` is free and holds the cross term.
+    Apart from that:
 
     - levelset.reinitialize uses all five arrays;
     - region_rhs takes array 2 for delta_eps and, to build a data term with
@@ -212,7 +445,8 @@ class Scratch:
         h, w = shape
         self.shape = (h, w)
         self.padded = np.empty((h + 2, w + 2))
-        self.buffers = tuple(np.empty(h * (w + 2)) for _ in range(5))
+        run = h * (w + 2)
+        self.buffers = (*(np.empty(run) for _ in range(4)), self.padded.reshape(-1)[:run])
         self.arrays = tuple(b[:h * w].reshape(h, w) for b in self.buffers)
         self._image = None  # (image, mean, max)
         self._terms = [None, None]  # ((image, c, lam), array) per data term
@@ -247,13 +481,19 @@ class Scratch:
             if image is u and c_was == c and lam_was == lam:
                 return term
         term = np.empty(self.shape) if entry is None else entry[1]
-        np.subtract(u, c, out=term)
-        if lam == 1.0:
-            term *= term
-        else:
-            term *= np.multiply(term, lam, out=work)
+        if lam != 1.0 and work is None:
+            work = np.empty(self.shape)
+        rowwise(_data_term_rows, term, u, c, lam, work)
         self._terms[which] = ((u, c, lam), term)
         return term
+
+
+def _data_term_rows(term, u, c, lam, work):
+    np.subtract(u, c, out=term)
+    if lam == 1.0:
+        term *= term
+    else:
+        term *= np.multiply(term, lam, out=work)
 
 
 def image_stats(u: np.ndarray) -> tuple[float, float]:
@@ -295,30 +535,59 @@ def curvature_array(phi: np.ndarray, spacing: float = 1.0,
     of phi, from its first pixel to its last: a neighbour is the same run
     shifted by 1 (x), by a padded row (y) or by both (the diagonals). The
     run also passes the border columns between rows; what it writes there
-    is never read.
+    is never read. The new array holds h * (w + 2) values: it takes pxy as
+    such a run, and once pxy is used, the curvature in its first h * w.
+    On row slabs (split_rows) each slab takes the part of the run that
+    holds its rows, in four splits: the padding; the differences, which
+    read the padded rows around the slab; the cross term, which then
+    overwrites them; and the rest, whose rows of the result lie over pxy
+    of the slabs before.
     """
     if not (eta > 0):
         raise ValueError(f"eta must be positive, got {eta}")
-    h = spacing
     s = Scratch.ensure(scratch, phi.shape)
+    rows, width = phi.shape
+    run = np.empty(rows * (width + 2))
+    for body in (_pad_rows, _difference_rows, _cross_rows, _curvature_rows):
+        split_rows(functools.partial(body, phi, spacing, eta, s, run), rows, phi.size)
+    return run[:phi.size].reshape(phi.shape)
+
+
+def _pad_rows(phi, h, eta, s, run, lo, hi):
+    # edge-replicated border, as np.pad(phi, 1, mode="edge"): padded rows
+    # lo + 1 .. hi, and the border row next to the slab's first or last row
     p = s.padded
-    # edge-replicated border, as np.pad(phi, 1, mode="edge")
-    p[1:-1, 1:-1] = phi
-    p[0, 1:-1] = phi[0]
-    p[-1, 1:-1] = phi[-1]
-    p[:, 0] = p[:, 1]
-    p[:, -1] = p[:, -2]
-    row = p.shape[1]
-    first, n = row + 1, phi.shape[0] * row - 2
-    flat = p.reshape(-1)
+    p[lo + 1:hi + 1, 1:-1] = phi[lo:hi]
+    top, bottom = lo + 1, hi + 1
+    if lo == 0:
+        p[0, 1:-1] = phi[0]
+        top = 0
+    if hi == len(phi):
+        p[-1, 1:-1] = phi[-1]
+        bottom += 1
+    p[top:bottom, 0] = p[top:bottom, 1]
+    p[top:bottom, -1] = p[top:bottom, -2]
+
+
+def _stencil_runs(phi, s, run, lo, hi):
+    # the parts for rows lo .. hi - 1 of the flat runs of px, py, pxx, pyy
+    # (buffers 0-3) and pxy (run): pixel (i, j) sits at i * (w + 2) + j + 1
+    # of each, as in _rows_of, and the runs are n = rows * (w + 2) - 2 long
+    row = phi.shape[1] + 2
+    first, stop = lo * row, min(hi * row, len(phi) * row - 2)
+    return first, stop, [b[1 + first:1 + stop] for b in (*s.buffers[:4], run)]
+
+
+def _difference_rows(phi, h, eta, s, run, lo, hi):
+    row = phi.shape[1] + 2
+    first, stop, (px, py, pxx, pyy, pxy) = _stencil_runs(phi, s, run, lo, hi)
+    flat = s.padded.reshape(-1)
 
     def shifted(offset):
-        return flat[first + offset:first + offset + n]
+        return flat[row + 1 + offset + first:row + 1 + offset + stop]
 
     c, left, right = shifted(0), shifted(-1), shifted(1)
     up, down = shifted(-row), shifted(row)
-    # pixel (i, j) sits at i * row + j + 1 of every buffer, as in _rows_of
-    px, py, pxx, pyy, pxy = (b[1:n + 1] for b in s.buffers)
     np.subtract(right, left, out=px)
     divide_by(px, 2.0 * h)
     np.subtract(down, up, out=py)
@@ -336,29 +605,39 @@ def curvature_array(phi: np.ndarray, spacing: float = 1.0,
     pxy += shifted(-row - 1)
     divide_by(pxy, 4.0 * h * h)
 
+
+def _cross_rows(phi, h, eta, s, run, lo, hi):
     # the differences are taken, so the padded buffer takes the cross term
-    cross = flat[1:n + 1]
+    first, stop, (px, py, _, _, pxy) = _stencil_runs(phi, s, run, lo, hi)
+    cross = s.padded.reshape(-1)[1 + first:1 + stop]
     np.multiply(px, 2.0, out=cross)
-    # num = pxx*py*py - 2*px*py*pxy + pyy*px*px, built in pxx
     cross *= py
     cross *= pxy
+
+
+def _curvature_rows(phi, h, eta, s, run, lo, hi):
+    first, stop, (px, py, pxx, pyy, _) = _stencil_runs(phi, s, run, lo, hi)
+    flat = s.padded.reshape(-1)
+    cross = flat[1 + first:1 + stop]
+    # num = pxx*py*py - 2*px*py*pxy + pyy*px*px, built in pxx
     pxx *= py
     pxx *= py
     pxx -= cross
     pyy *= px
     pyy *= px
     pxx += pyy
-    # den = px*px + py*py + eta, built in pyy
+    # den = px*px + py*py + eta, built in pyy, with py*py in cross
     np.multiply(px, px, out=pyy)
-    np.multiply(py, py, out=pxy)
-    pyy += pxy
+    np.multiply(py, py, out=cross)
+    pyy += cross
     pyy += eta
     np.sqrt(pyy, out=cross)
     cross *= pyy
-    out = np.divide(_rows_of(s.buffers[2], phi.shape), _rows_of(flat, phi.shape),
-                    out=np.empty(phi.shape))
+    k = run[:phi.size].reshape(phi.shape)[lo:hi]
+    np.divide(_rows_of(s.buffers[2], phi.shape)[lo:hi], _rows_of(flat, phi.shape)[lo:hi],
+              out=k)
     bound = 1.0 / h
-    return np.clip(out, -bound, bound, out=out)
+    np.clip(k, -bound, bound, out=k)
 
 
 def _positive_eps(eps) -> np.ndarray:
@@ -372,16 +651,29 @@ def heaviside_eps(z, eps, *, out: np.ndarray | None = None):
     """Smooth step H_eps(z) = 1/2 (1 + (2/pi) arctan(z/eps)): strictly
     increasing, H_eps(0) = 1/2, limits 0 and 1. Accepts scalars or arrays;
     an array result is written into ``out`` when given, in the operation
-    order of the formula.
+    order of the formula. A scalar eps divides as divide_by does: not at
+    all when it is 1, by the exact reciprocal when it is a power of two.
     """
     eps = _positive_eps(eps)
     z = np.asarray(z, dtype=np.float64)
-    out = np.divide(z, eps, out=_result(np.broadcast_shapes(z.shape, eps.shape), out))
-    np.arctan(out, out=out)
+    out = _result(np.broadcast_shapes(z.shape, eps.shape), out)
+    reciprocal = None if eps.ndim else _exact_reciprocal(float(eps))
+    rowwise(_heaviside_rows, out, z, eps, reciprocal)
+    return out if out.ndim else float(out)
+
+
+def _heaviside_rows(out, z, eps, reciprocal):
+    if reciprocal == 1.0:
+        np.arctan(z, out=out)
+    else:
+        if reciprocal is None:
+            np.divide(z, eps, out=out)
+        else:
+            np.multiply(z, reciprocal, out=out)
+        np.arctan(out, out=out)
     out *= 2.0 / math.pi
     out += 1.0
     out *= 0.5
-    return out if out.ndim else float(out)
 
 
 def delta_eps(z, eps, *, out: np.ndarray | None = None):
@@ -391,10 +683,15 @@ def delta_eps(z, eps, *, out: np.ndarray | None = None):
     """
     eps = _positive_eps(eps)
     z = np.asarray(z, dtype=np.float64)
-    out = np.multiply(z, z, out=_result(np.broadcast_shapes(z.shape, eps.shape), out))
-    out += eps * eps
-    np.divide(eps / math.pi, out, out=out)
+    out = _result(np.broadcast_shapes(z.shape, eps.shape), out)
+    rowwise(_delta_rows, out, z, eps * eps, eps / math.pi)
     return out if out.ndim else float(out)
+
+
+def _delta_rows(out, z, eps_squared, eps_over_pi):
+    np.multiply(z, z, out=out)
+    out += eps_squared
+    np.divide(eps_over_pi, out, out=out)
 
 
 # 5x5 Gaussian (sigma = 1), normalized to unit sum; used to pre-smooth the

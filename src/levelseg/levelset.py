@@ -9,12 +9,13 @@ subpixel polylines via marching squares.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, Scratch, divide_by
+from .grid import ScalarField, Scratch, divide_by, rowwise, split_rows
 
 BORDER_MARGIN = 2.0  # init shapes must keep this many pixels of clearance
 
@@ -145,45 +146,78 @@ def reinitialize(phi: ScalarField, iterations: int = 10, *,
     numbers. b in x and the -f shift are each one pass over the flattened
     rows, which also crosses from each row's end to the next row's start;
     the first column of b and the last of -f are then set to 0.
+
+    A sweep runs on the row slabs of grid.split_rows. The -f shift in y of
+    a slab's last row takes the next row's b again from d, and d is updated
+    in a second split, once every slab has taken its differences; the
+    result has the bits of a sweep over the whole array.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     h = phi.spacing
     d0 = phi.data
-    dts, bx, by, grad, low = Scratch.ensure(scratch, d0.shape).arrays
+    s = Scratch.ensure(scratch, d0.shape)
     negative = d0 < 0
     zero = d0 == 0
     # dt * S(phi0) with dt = h / 2, once per call
+    rowwise(_step_scale_rows, s.arrays[0], d0, h)
+    d = d0.copy()
+    # a sweep reads the rows next to its slab's, so no slab updates d
+    # until every slab has taken its differences
+    slopes = functools.partial(_slope_rows, d, h, s.arrays, negative, zero)
+    for _ in range(iterations):
+        split_rows(slopes, len(d), d.size)
+        rowwise(_take_step_rows, d, s.arrays[3])
+    return phi.like(d)
+
+
+def _take_step_rows(d, step):
+    d -= step
+
+
+def _step_scale_rows(dts, d0, h):
     np.multiply(d0, d0, out=dts)
     dts += h * h
     np.sqrt(dts, out=dts)
     np.divide(d0, dts, out=dts)
     dts *= 0.5 * h
-    d = d0.copy()
-    # 1-D views of the rows, for the x-differences
-    d_run, bx_run, grad_run = d.reshape(-1), bx.reshape(-1), grad.reshape(-1)
-    for _ in range(iterations):
-        # backward differences; the first column and row replicate the edge
-        np.subtract(d_run[1:], d_run[:-1], out=bx_run[1:])
-        bx[:, 0] = 0.0
-        divide_by(bx, h)
-        np.subtract(d[1:], d[:-1], out=by[1:])
+
+
+def _slope_rows(d, h, arrays, negative, zero, lo, hi):
+    # the sweep's update dt * S(phi0) (|grad d| - 1) of rows lo .. hi - 1,
+    # into arrays[3]; it reads rows lo - 1 and hi of d and writes no other
+    # slab's rows
+    rows = slice(lo, hi)
+    dts, bx, by, grad, low = (a[rows] for a in arrays)
+    negative, zero = negative[rows], zero[rows]
+    # 1-D runs over the rows, for the x-differences
+    d_run, bx_run, grad_run = d[rows].reshape(-1), bx.reshape(-1), grad.reshape(-1)
+    # backward differences; the first column and row replicate the edge
+    np.subtract(d_run[1:], d_run[:-1], out=bx_run[1:])
+    bx[:, 0] = 0.0
+    divide_by(bx, h)
+    top = max(lo, 1)
+    np.subtract(d[top:hi], d[top - 1:hi - 1], out=by[top - lo:])
+    if lo == 0:
         by[0] = 0.0
-        divide_by(by, h)
-        # -f: the next pixel's b, negated; 0 past the last column and row
-        np.negative(bx_run[1:], out=grad_run[:-1])
-        grad[:, -1] = 0.0
-        _godunov_term(bx, grad, low, negative)
-        np.negative(by[1:], out=bx[:-1])
+    divide_by(by, h)
+    # -f: the next pixel's b, negated; 0 past the last column and row
+    np.negative(bx_run[1:], out=grad_run[:-1])
+    grad[:, -1] = 0.0
+    _godunov_term(bx, grad, low, negative)
+    np.negative(by[1:], out=bx[:-1])
+    if hi == len(d):
         bx[-1] = 0.0
-        _godunov_term(by, bx, low, negative)
-        grad += bx
-        np.sqrt(grad, out=grad)
-        np.copyto(grad, 0.0, where=zero)
-        grad -= 1.0
-        grad *= dts
-        d -= grad
-    return phi.like(d)
+    else:  # the next slab's first b in y, taken again from d
+        np.subtract(d[hi], d[hi - 1], out=bx[-1])
+        divide_by(bx[-1], h)
+        np.negative(bx[-1], out=bx[-1])
+    _godunov_term(by, bx, low, negative)
+    grad += bx
+    np.sqrt(grad, out=grad)
+    np.copyto(grad, 0.0, where=zero)
+    grad -= 1.0
+    grad *= dts
 
 
 @dataclass

@@ -29,6 +29,7 @@ from .grid import (
     heaviside_eps,
     image_stats,
     magnitude,
+    rowwise,
 )
 
 MODEL_NAMES = ("geodesic", "chan_vese", "modified")
@@ -168,12 +169,16 @@ def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     u = u0.data.ravel()
     H, not_H = Scratch.ensure(scratch, u0.data.shape).arrays[:2]
     heaviside_eps(phi.data, eps, out=H)
-    np.subtract(1.0, H, out=not_H)
+    rowwise(_complement_rows, not_H, H)
     w_in, w_out = H.ravel(), not_H.ravel()
     sum_in, sum_out = float(w_in.sum()), float(w_out.sum())
     c1 = _dot(u, w_in) / sum_in if sum_in > 0 else float(u.mean())
     c2 = _dot(u, w_out) / sum_out if sum_out > 0 else float(u.mean())
     return replace(stats, c1=c1, c2=c2), H
+
+
+def _complement_rows(not_H, H):
+    np.subtract(1.0, H, out=not_H)
 
 
 def region_terms(model: str, stats: RegionStats,
@@ -204,12 +209,17 @@ def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
     scratch = Scratch.ensure(scratch, u.shape)
     rhs = curvature_array(phi.data, phi.spacing, scratch=scratch)
     delta = delta_eps(phi.data, params.eps, out=scratch.arrays[2])
-    rhs *= params.mu
-    rhs -= params.nu
-    rhs -= scratch.data_term(0, u, inside_target, lam, work=scratch.arrays[0])
-    rhs += scratch.data_term(1, u, outside_const)
+    inside = scratch.data_term(0, u, inside_target, lam, work=scratch.arrays[0])
+    outside = scratch.data_term(1, u, outside_const)
+    return rowwise(_region_sum_rows, rhs, params.mu, params.nu, inside, outside, delta)
+
+
+def _region_sum_rows(rhs, mu, nu, inside, outside, delta):
+    rhs *= mu
+    rhs -= nu
+    rhs -= inside
+    rhs += outside
     rhs *= delta
-    return rhs
 
 
 def chan_vese_rhs(u0: ScalarField, phi: ScalarField, stats: RegionStats,
@@ -255,14 +265,21 @@ def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *
     edge_detector(gradient_magnitude(u0, out=(gx, gy, g)), out=g)
     gradient(u0.like(g), out=(gx, gy))
     gradient(phi, out=(px, py))
-    rhs *= g
     # the dot product's terms first, so that g's array and py can take |grad phi|
+    rowwise(_edge_weight_rows, rhs, g, gx, px, gy, py)
+    return rowwise(_flow_sum_rows, rhs, magnitude(px, py, out=g, dy_squared=py), gx, gy)
+
+
+def _edge_weight_rows(rhs, g, gx, px, gy, py):
+    rhs *= g
     gx *= px
     gy *= py
-    rhs *= magnitude(px, py, out=g, dy_squared=py)
-    rhs += gx
-    rhs += gy
-    return rhs
+
+
+def _flow_sum_rows(rhs, grad_mag, gx_px, gy_py):
+    rhs *= grad_mag
+    rhs += gx_px
+    rhs += gy_py
 
 
 def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
@@ -326,6 +343,10 @@ def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
     _check_dims(u0, phi)
     g, delta, dx, dy, grad_mag = Scratch.ensure(scratch, phi.data.shape).arrays
     edge_detector(gradient_magnitude(u0, out=(dx, dy, g)), out=g)
-    g *= delta_eps(phi.data, params.eps, out=delta)
+    rowwise(_product_rows, g, delta_eps(phi.data, params.eps, out=delta))
     gradient_magnitude(phi, out=(dx, dy, grad_mag))
     return _dot(g, grad_mag) * phi.spacing * phi.spacing
+
+
+def _product_rows(a, b):
+    a *= b

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import ScalarField, Scratch, gaussian_smooth
+from .grid import ScalarField, Scratch, gaussian_smooth, rowwise
 from .levelset import Contour, extract_contour, mask_inside, reinitialize
 # the per-model wrappers chan_vese_rhs, modified_rhs, geodesic_rhs,
 # energy_chan_vese and energy_modified are not called here; they stay
@@ -219,8 +219,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
             new_data = (geodesic_flow_rhs(u_model, phi, params, scratch=scratch)
                         if terms is None
                         else region_rhs(u0, phi, *terms, params, scratch=scratch))
-            new_data *= dt
-            new_data += phi.data
+            rowwise(_advance_rows, new_data, dt, phi.data)
             try:
                 # the field's own check is the step's one finiteness check
                 phi = phi.like(new_data)
@@ -231,6 +230,9 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
                     f"(dt={dt:.4g}, model={model}); returning partial result"
                 )
                 break
+            # phi holds the step now; a reinit below replaces it, and the
+            # step's array must not stay alive into the next step
+            del new_data
             event = "step"
             if params.reinit_every > 0 and it % params.reinit_every == 0:
                 phi = reinitialize(phi, params.reinit_sweeps, scratch=scratch)
@@ -258,6 +260,11 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
         dt_clamped=clamped,
         diagnostics=diagnostics,
     )
+
+
+def _advance_rows(rhs, dt, phi):
+    rhs *= dt
+    rhs += phi
 
 
 def trace_csv(trace) -> str:

@@ -432,9 +432,12 @@ class TestWrittenIntoGivenArrays:
         rng = np.random.default_rng(17)
         z = rng.normal(size=(37, 53)) * 10.0 ** rng.integers(-4, 5, size=(37, 1))
         z[0, :5] = (0.0, -0.0, 1e-300, -1e300, 1.7e308)
+        z[1, 0] = -1.7e308
         return z
 
-    @pytest.mark.parametrize("eps", [0.3, 1.0, 2.5])
+    # eps = 1 skips the quotient, and a power of two multiplies by its
+    # reciprocal: both must give the bits of z / eps
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 2.5, 0.5, 2.0])
     @pytest.mark.parametrize("kernel, reference", [(heaviside_eps, heaviside_reference),
                                                    (delta_eps, delta_reference)])
     def test_heaviside_and_delta_are_bit_identical(self, kernel, reference, eps):

@@ -194,6 +194,33 @@ class TestEvolveBasics:
         for res, want in zip(results, expected):
             assert res.phi_final.data.tobytes() == want.tobytes()
 
+    def test_concurrent_large_runs_share_the_slab_workers(self, monkeypatch):
+        # at 512^2 each run splits its passes into four row slabs, and the
+        # four runs share grid's three workers: a run that finds none idle
+        # runs the slab itself. The bits must be those of runs one by one.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from levelseg import grid
+
+        monkeypatch.setattr(grid, "_cpu_count", lambda: 4)
+        u0 = normalized_disk(512, 512, 256.0, 256.0, 90.0)
+        jobs = [(model, signed_distance(InitShape.circle(256, 256, r), 512, 512))
+                for model, r in (("chan_vese", 110), ("modified", 80),
+                                 ("geodesic", 100), ("modified", 120))]
+        params = EvolveParams(mu=0.5, max_iters=12, reinit_every=5, stop_tol=0.0)
+        expected = [evolve(model, u0, phi0, params).phi_final.data for model, phi0 in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(evolve, model, u0, phi0, params) for model, phi0 in jobs]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for res, want in zip(results, expected):
+            assert res.phi_final.data.tobytes() == want.tobytes()
+
     def test_phi_stays_finite_across_models(self):
         u0 = normalized_disk()
         for model in ("chan_vese", "modified", "geodesic"):
