@@ -17,12 +17,18 @@ import pytest
 from levelseg.grid import (
     ScalarField,
     Scratch,
-    curvature_array,
+    curvature,
     gaussian_smooth,
     gradient,
     gradient_magnitude,
 )
-from levelseg.levelset import default_seed_grid, reinitialize, signed_distance
+from levelseg.levelset import (
+    default_seed_grid,
+    edge_crossings,
+    extract_contour,
+    reinitialize,
+    signed_distance,
+)
 from levelseg.models import (
     EvolveParams,
     energy_geodesic,
@@ -32,7 +38,7 @@ from levelseg.models import (
     region_rhs,
     weighted_averages,
 )
-from levelseg.solver import _crossings, _interface_motion
+from levelseg.solver import _interface_motion
 
 SCRATCH = pytest.mark.parametrize("scratch", ["fresh", "reused"])
 
@@ -50,10 +56,10 @@ def work_set(kind, phi):
 
 
 @SCRATCH
-def test_curvature_array(benchmark, fields, scratch):
+def test_curvature(benchmark, fields, scratch):
     _, phi = fields
     work = work_set(scratch, phi)
-    benchmark(curvature_array, phi.data, phi.spacing, scratch=work)
+    benchmark(curvature, phi.data, phi.spacing, scratch=work)
 
 
 @SCRATCH
@@ -64,14 +70,15 @@ def test_reinitialize(benchmark, fields, scratch):
 
 
 def test_gradient(benchmark, fields):
-    benchmark(gradient, fields[1])
+    benchmark(gradient, fields[1].data, fields[1].spacing)
 
 
 # the geodesic model takes |grad| of the noisy image as well as of phi;
 # np.hypot is much slower on the image's gradients than on the seed circles'
 @pytest.mark.parametrize("of", ["image", "phi"])
 def test_gradient_magnitude(benchmark, fields, of):
-    benchmark(gradient_magnitude, fields[of == "phi"])
+    f = fields[of == "phi"]
+    benchmark(gradient_magnitude, f.data, f.spacing)
 
 
 @SCRATCH
@@ -123,11 +130,17 @@ def test_region_averages(benchmark, fields):
 
 
 def test_crossings(benchmark, fields):
-    benchmark(_crossings, fields[1].data)
+    benchmark(edge_crossings, fields[1].data)
 
 
 # the seed circles against the same circles grown by a quarter pixel: every
 # crossing moves, and none appears or vanishes
 def test_interface_motion(benchmark, fields):
     phi = fields[1].data
-    benchmark(_interface_motion, _crossings(phi), _crossings(phi + 0.25))
+    benchmark(_interface_motion, edge_crossings(phi), edge_crossings(phi + 0.25))
+
+
+# the contour evolve traces at the end of every run, from the seed circles
+@pytest.mark.parametrize("n", [256, 512], ids=lambda n: f"{n}px")
+def test_extract_contour(benchmark, n):
+    benchmark(extract_contour, signed_distance(default_seed_grid(n, n), n, n))

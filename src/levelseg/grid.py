@@ -6,6 +6,11 @@ regularized Heaviside/delta pair, and the gradient-based edge detector.
 All operations are deterministic; the only state they write is a Scratch
 work set or an ``out`` array that the caller passes in.
 
+Every kernel the solver's step calls takes raw arrays and a grid spacing
+and validates nothing: a phi that overflows a stencil gives NaN or Inf,
+which the caller checks for. ScalarField validates at the API of models,
+levelset and solver, which pass its data and spacing down.
+
 On a field of at least 2^18 pixels, the row-local passes run on row slabs,
 one per usable CPU (at most four): in split_rows, the calling thread and
 the module's worker threads, which start on the first split, claim the
@@ -13,7 +18,7 @@ slabs one at a time. Each slab writes only its own rows of an output or of
 the Scratch set, so every result has the bits of the one-slab pass. A pass
 that reads rows a neighbouring slab writes in the same pass is split in
 two at that point (a join), or recomputes the row it needs, as
-curvature_array and levelset.reinitialize do. Sums and dot products stay
+curvature and levelset.reinitialize do. Sums and dot products stay
 whole-array passes: a split would change their summation order. A slab
 runs in a copy of the caller's context, so that the np.errstate the caller
 set holds on the workers too. Slab bodies are private functions that
@@ -316,25 +321,23 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def gradient(f: ScalarField, *,
+def gradient(f: np.ndarray, spacing: float = 1.0, *,
              out: tuple[np.ndarray, np.ndarray] | None = None) -> Gradient:
-    """First derivatives: central differences at interior pixels, one-sided
-    at the borders, divided by the grid spacing. x runs along columns,
-    y along rows. Bit-identical to np.gradient(f.data, f.spacing), but
-    written straight into ``out`` = (dx, dy), row-major arrays, or new
-    arrays when None, and returned as a Gradient of those arrays. The
-    differences of the validated ``f`` are not checked again: where
-    neighbours differ by more than the largest float they are Inf, as in
-    curvature_array, and the caller checks.
+    """First derivatives of the row-major array ``f``: central differences
+    at interior pixels, one-sided at the borders, divided by the grid
+    spacing. x runs along columns, y along rows. Bit-identical to
+    np.gradient(f, spacing), but written straight into ``out`` = (dx, dy),
+    row-major arrays, or new arrays when None, and returned as a Gradient of
+    those arrays. Where neighbours differ by more than the largest float the
+    differences are Inf, as in curvature, and the caller checks.
 
     dx is taken as one pass over the flattened rows, which also differences
     across the end of each row; the first and last column are then
     overwritten with their one-sided differences.
     """
-    d = f.data
-    dx, dy = (np.empty_like(d), np.empty_like(d)) if out is None else out
-    _flat(dx)  # refuses a dx that is not row-major
-    split_rows(functools.partial(_gradient_rows, d, f.spacing, dx, dy), len(d), d.size)
+    dx, dy = (np.empty_like(f), np.empty_like(f)) if out is None else out
+    _flat(f), _flat(dx)  # refuses an f or a dx that is not row-major
+    split_rows(functools.partial(_gradient_rows, f, spacing, dx, dy), len(f), f.size)
     return Gradient(dx, dy)
 
 
@@ -363,16 +366,17 @@ def _gradient_rows(d, h, dx, dy, lo, hi):
     dx[rows, -1] /= h
 
 
-def gradient_magnitude(f: ScalarField, *,
+def gradient_magnitude(f: np.ndarray, spacing: float = 1.0, *,
                        out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                        ) -> np.ndarray:
-    """Per-pixel magnitude of gradient(f) as a raw array, not validated: Inf
-    where the gradient overflows. With ``out`` = (dx, dy, magnitude), the
-    gradient is written into the first two, with dy^2 in the second at the
-    end, and the magnitude into the third; new arrays when None.
+    """Per-pixel magnitude of gradient(f, spacing) as a raw array, not
+    validated: Inf where the gradient overflows. With ``out`` = (dx, dy,
+    magnitude), the gradient is written into the first two, with dy^2 in
+    the second at the end, and the magnitude into the third; new arrays
+    when None.
     """
     grad_out, m = (None, None) if out is None else (out[:2], out[2])
-    g = gradient(f, out=grad_out)
+    g = gradient(f, spacing, out=grad_out)
     return magnitude(g.dx, g.dy, m, dy_squared=g.dy)
 
 
@@ -405,7 +409,7 @@ class Scratch:
     need their own. Within a kernel, the row slabs of split_rows write
     disjoint rows of the set's arrays, in the caller's np.errstate. A pass
     that reads rows another slab writes waits for every slab of the pass
-    before it: curvature_array's differences read the neighbours' rows of
+    before it: curvature's differences read the neighbours' rows of
     ``padded``, which its cross term then overwrites, and a reinitialize
     sweep reads the rows of phi next to its slab's, which the sweep
     updates. The -f shift in y of reinitialize takes the next slab's first
@@ -415,7 +419,7 @@ class Scratch:
     the five (h, w) row-major views of their first h * w values.
     ``padded`` is (h + 2) x (w + 2), and the fifth buffer is its first
     h * (w + 2) values, so the set holds about five fields, not six.
-    curvature_array lays buffers 0-3 out as rows of w + 2 values, one per
+    curvature lays buffers 0-3 out as rows of w + 2 values, one per
     row of ``padded``, so that each stencil is one flat run through all
     rows, and keeps its fifth difference in the array it returns; once its
     differences are taken, ``padded`` is free and holds the cross term.
@@ -423,11 +427,11 @@ class Scratch:
 
     - levelset.reinitialize uses all five arrays;
     - region_rhs takes array 2 for delta_eps and, to build a data term with
-      a lambda other than 1, array 0, once curvature_array has returned;
+      a lambda other than 1, array 0, once curvature has returned;
     - weighted_averages writes H_eps into array 0 and 1 - H_eps into array 1,
       and returns array 0 as H, which energy_region reads and leaves as is;
     - geodesic_flow_rhs builds g, grad g, grad phi and |grad phi| in arrays
-      0-4, once curvature_array has returned;
+      0-4, once curvature has returned;
     - energy_region and energy_geodesic use arrays 1-4 (energy_geodesic
       array 0 as well).
 
@@ -502,7 +506,14 @@ def image_stats(u: np.ndarray) -> tuple[float, float]:
     return float(flat.mean()), float(flat.max())
 
 
-def curvature(phi: ScalarField, eta: float = CURVATURE_ETA) -> ScalarField:
+def _rows_of(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    # the (h, w) pixels of a buffer laid out as h rows of w + 2 values
+    h, w = shape
+    return buffer[:h * (w + 2)].reshape(h, w + 2)[:, 1:-1]
+
+
+def curvature(phi: np.ndarray, spacing: float = 1.0, eta: float = CURVATURE_ETA, *,
+              scratch: Scratch | None = None) -> np.ndarray:
     """Mean curvature of the level sets, div(grad(phi)/|grad(phi)|), via the
     second-order stencil
 
@@ -511,25 +522,13 @@ def curvature(phi: ScalarField, eta: float = CURVATURE_ETA) -> ScalarField:
     with edge-replicated borders. Output is clamped to +-1/spacing, which is
     the finest curvature the grid can represent, so that explicit stepping
     stays stable where the gradient nearly vanishes.
-    """
-    return phi.like(curvature_array(phi.data, phi.spacing, eta))
 
-
-def _rows_of(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    # the (h, w) pixels of a buffer laid out as h rows of w + 2 values
-    h, w = shape
-    return buffer[:h * (w + 2)].reshape(h, w + 2)[:, 1:-1]
-
-
-def curvature_array(phi: np.ndarray, spacing: float = 1.0,
-                    eta: float = CURVATURE_ETA, *,
-                    scratch: Scratch | None = None) -> np.ndarray:
-    """The stencil of ``curvature`` on a raw array, computed in ``scratch``
-    (a fresh set when None) and returned in a new array, the only one it
-    allocates. The power 3/2 is taken as den * sqrt(den), within 1 ulp of
-    den ** 1.5; every other operation is done in the order the formula
-    reads. The result is not validated: a phi so steep that the stencil
-    overflows gives NaN or Inf, which the caller checks for.
+    It is computed in ``scratch`` (a fresh set when None) and returned in a
+    new array, the only one it allocates. The power 3/2 is taken as
+    den * sqrt(den), within 1 ulp of den ** 1.5; every other operation is
+    done in the order the formula reads. The result is not validated: a phi
+    so steep that the stencil overflows gives NaN or Inf, which the caller
+    checks for.
 
     Every array operation is one flat run over the rows of the padded copy
     of phi, from its first pixel to its last: a neighbour is the same run

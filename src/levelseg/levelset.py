@@ -259,21 +259,34 @@ _SEGMENTS = {
 }
 
 
-def _edge_key(edge: int, x: int, y: int):
-    # canonical (orientation, x, y) id of a cell edge in grid coordinates
-    if edge == 0:
-        return ("h", x, y)
-    if edge == 1:
-        return ("v", x + 1, y)
-    if edge == 2:
-        return ("h", x, y + 1)
-    return ("v", x, y)
+def edge_crossings(phi: np.ndarray) -> list:
+    """The zero crossings of phi on the grid edges, as (edge keys, t) for the
+    horizontal and then the vertical edges. An edge from pixel a to its right
+    or lower neighbour b is crossed when one end is inside (phi >= 0) and the
+    other is not; its key is the flat index of a, in ascending order, and the
+    crossing lies at t = phi_a / (phi_a - phi_b) of the way from a to b.
+    phi_a and phi_b are halved first (exact for normal floats), so that the
+    difference cannot overflow where |phi| nears the largest float.
+    """
+    flat = phi.ravel()
+    inside = flat >= 0.0
+    width = phi.shape[1]
+    found = []
+    for step in (1, width):
+        keys = np.flatnonzero(inside[:-step] != inside[step:])
+        if step == 1:
+            keys = keys[keys % width != width - 1]  # not from a row's end to the next row
+        a = flat[keys] * 0.5
+        b = flat[keys + step] * 0.5
+        found.append((keys, a / (a - b)))
+    return found
 
 
 def extract_contour(phi: ScalarField) -> Contour:
-    """Trace the zero level set with marching squares; vertices are linearly
-    interpolated along cell edges, so phi interpolates to zero on them by
-    construction. Returns an empty contour when phi has uniform sign.
+    """Trace the zero level set with marching squares; vertices are the
+    edge_crossings of phi, linearly interpolated along cell edges, so phi
+    interpolates to zero on them by construction. Returns an empty contour
+    when phi has uniform sign.
     """
     d = phi.data
     h, w = d.shape
@@ -281,15 +294,15 @@ def extract_contour(phi: ScalarField) -> Contour:
     if inside.all() or not inside.any():
         return Contour()
 
-    def crossing(key):
-        # subpixel crossing point on a sign-change edge; a and b are halved
-        # (exact for normal floats) so that a - b cannot overflow where
-        # |phi| nears the largest float
-        kind, x, y = key
-        a = 0.5 * d[y, x]
-        b = 0.5 * (d[y, x + 1] if kind == "h" else d[y + 1, x])
-        t = a / (a - b)
-        return (x + t, y) if kind == "h" else (x, y + t)
+    # the crossings by edge id: the horizontal edge from pixel k has id k,
+    # the vertical one h * w + k, so the ids of both kinds ascend together
+    (h_keys, h_t), (v_keys, v_t) = edge_crossings(d)
+    ids = np.concatenate((h_keys, v_keys + h * w))
+    points = np.empty((len(ids), 2))
+    points[:len(h_keys), 0] = h_keys % w + h_t
+    points[:len(h_keys), 1] = h_keys // w
+    points[len(h_keys):, 0] = v_keys % w
+    points[len(h_keys):, 1] = v_keys // w + v_t
 
     # cells whose four corners mix signs
     cell = (
@@ -318,8 +331,10 @@ def extract_contour(phi: ScalarField) -> Contour:
                 pairs = [(3, 0), (1, 2)] if center >= 0 else [(0, 1), (2, 3)]
         else:
             pairs = _SEGMENTS[case]
+        k = y * w + x
+        edges = (k, h * w + k + 1, k + w, h * w + k)  # top, right, bottom, left
         for e1, e2 in pairs:
-            link(_edge_key(e1, x, y), _edge_key(e2, x, y))
+            link(edges[e1], edges[e2])
 
     # an edge belongs to at most two cells and a cell's segments use disjoint
     # edges, so every crossing has at most two neighbours and the graph is
@@ -336,7 +351,7 @@ def extract_contour(phi: ScalarField) -> Contour:
             seen.add(nexts[0])
             chain.append(nexts[0])
         if len(chain) >= 3:
-            loops.append(np.array([crossing(k) for k in chain], dtype=np.float64))
+            loops.append(points[np.searchsorted(ids, chain)])
             closed.append(len(links[start]) == 2)
 
     return Contour(loops=loops, closed=closed)

@@ -20,8 +20,7 @@ import numpy as np
 from .grid import (
     ScalarField,
     Scratch,
-    curvature,  # noqa: F401  not called here; perfbench/tracer.py looks it up in this module
-    curvature_array,
+    curvature,
     delta_eps,
     edge_detector,
     gradient,
@@ -198,16 +197,17 @@ def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
     """Shared core of both region models as a raw array:
     delta_eps(phi) * (mu*kappa - nu - lam*(u0 - inside)^2 + (u0 - outside)^2).
 
-    The terms are summed in that order into the new array that
-    curvature_array returns, with ``scratch`` (a fresh set when None) as
-    work space: its data_term arrays for the two data terms, which a
-    reused set builds only when their constant changes, array 0 to build a
-    term with lam other than 1, and array 2 for delta_eps. The result is not validated, so a phi that overflows the
-    curvature stencil gives NaN or Inf here rather than an exception.
+    The terms are summed in that order into the new array that curvature
+    returns, with ``scratch`` (a fresh set when None) as work space: its
+    data_term arrays for the two data terms, which a reused set builds only
+    when their constant changes, array 0 to build a term with lam other
+    than 1, and array 2 for delta_eps. The result is not validated, so a phi
+    that overflows the curvature stencil gives NaN or Inf here rather than
+    an exception.
     """
     u = u0.data
     scratch = Scratch.ensure(scratch, u.shape)
-    rhs = curvature_array(phi.data, phi.spacing, scratch=scratch)
+    rhs = curvature(phi.data, phi.spacing, scratch=scratch)
     delta = delta_eps(phi.data, params.eps, out=scratch.arrays[2])
     inside = scratch.data_term(0, u, inside_target, lam, work=scratch.arrays[0])
     outside = scratch.data_term(1, u, outside_const)
@@ -254,17 +254,17 @@ def geodesic_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> Sca
 def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
                       scratch: Optional[Scratch] = None) -> np.ndarray:
     """geodesic_rhs as a raw array, summed in the order of the formula into
-    the array that curvature_array returns. Once it has, g, grad g, grad phi
-    and |grad phi| are built in arrays 0-4 of ``scratch`` (a fresh set when
+    the array that curvature returns. Once it has, g, grad g, grad phi and
+    |grad phi| are built in arrays 0-4 of ``scratch`` (a fresh set when
     None). Not validated, so that a phi that overflows the curvature
     stencil gives NaN or Inf rather than an exception.
     """
     scratch = Scratch.ensure(scratch, phi.data.shape)
-    rhs = curvature_array(phi.data, phi.spacing, scratch=scratch)
+    rhs = curvature(phi.data, phi.spacing, scratch=scratch)
     g, gx, gy, px, py = scratch.arrays
-    edge_detector(gradient_magnitude(u0, out=(gx, gy, g)), out=g)
-    gradient(u0.like(g), out=(gx, gy))
-    gradient(phi, out=(px, py))
+    edge_detector(gradient_magnitude(u0.data, u0.spacing, out=(gx, gy, g)), out=g)
+    gradient(g, u0.spacing, out=(gx, gy))
+    gradient(phi.data, phi.spacing, out=(px, py))
     # the dot product's terms first, so that g's array and py can take |grad phi|
     rowwise(_edge_weight_rows, rhs, g, gx, px, gy, py)
     return rowwise(_flow_sum_rows, rhs, magnitude(px, py, out=g, dy_squared=py), gx, gy)
@@ -312,7 +312,7 @@ def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
     area = float(H.sum())
     # length term: delta_eps in weight, |grad phi| in work
     length = _dot(delta_eps(phi.data, params.eps, out=weight),
-                  gradient_magnitude(phi, out=(dx, dy, work)))
+                  gradient_magnitude(phi.data, phi.spacing, out=(dx, dy, work)))
     total = lam * inside + outside + params.mu * length + params.nu * area
     return total * phi.spacing * phi.spacing
 
@@ -342,9 +342,9 @@ def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
     """
     _check_dims(u0, phi)
     g, delta, dx, dy, grad_mag = Scratch.ensure(scratch, phi.data.shape).arrays
-    edge_detector(gradient_magnitude(u0, out=(dx, dy, g)), out=g)
+    edge_detector(gradient_magnitude(u0.data, u0.spacing, out=(dx, dy, g)), out=g)
     rowwise(_product_rows, g, delta_eps(phi.data, params.eps, out=delta))
-    gradient_magnitude(phi, out=(dx, dy, grad_mag))
+    gradient_magnitude(phi.data, phi.spacing, out=(dx, dy, grad_mag))
     return _dot(g, grad_mag) * phi.spacing * phi.spacing
 
 

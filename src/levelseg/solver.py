@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import ScalarField, Scratch, gaussian_smooth, rowwise
-from .levelset import Contour, extract_contour, mask_inside, reinitialize
+from .levelset import Contour, edge_crossings, extract_contour, mask_inside, reinitialize
 # the per-model wrappers chan_vese_rhs, modified_rhs, geodesic_rhs,
 # energy_chan_vese and energy_modified are not called here; they stay
 # importable from this module, where perfbench/tracer.py looks them up
@@ -112,27 +112,6 @@ def _stats_and_energy(model, u0, u_model, phi, params, scratch):
                                        not_H=scratch.arrays[1], scratch=scratch)
 
 
-def _crossings(phi: np.ndarray) -> list:
-    """The zero crossings of phi on the grid edges, as (edge keys, t) for the
-    horizontal and then the vertical edges. An edge from pixel a to its right
-    or lower neighbour b is crossed when one end is inside (phi >= 0) and the
-    other is not; its key is the flat index of a, and the crossing lies at
-    t = phi_a / (phi_a - phi_b) of the way from a to b.
-    """
-    flat = phi.ravel()
-    inside = flat >= 0.0
-    width = phi.shape[1]
-    found = []
-    for step in (1, width):
-        keys = np.flatnonzero(inside[:-step] != inside[step:])
-        if step == 1:
-            keys = keys[keys % width != width - 1]  # not from a row's end to the next row
-        a = flat[keys]
-        b = flat[keys + step]
-        found.append((keys, a / (a - b)))
-    return found
-
-
 def _interface_motion(before, after) -> float:
     """Mean displacement of the zero crossings between two iterations, in
     px: |t_after - t_before| on an edge crossed both times, 1 on an edge
@@ -170,8 +149,9 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
     their energy at fixed phi.
 
     An iteration is still when the zero crossings of phi on the grid edges
-    moved less than ``stop_tol`` px on average (an edge that gained or lost
-    its crossing counts as 1 px). The run stops after STOP_WINDOW still
+    (levelset.edge_crossings, the contour's vertices) moved less than
+    ``stop_tol`` px on average (an edge that gained or lost its crossing
+    counts as 1 px). The run stops after STOP_WINDOW still
     iterations in a row ('converged'), at ``max_iters``, or if phi goes
     non-finite ('stalled', with a diagnostic and the partial trace); overflow
     warnings on the way there are not raised. The energy is traced but does
@@ -212,7 +192,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
         stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
         trace = [TraceEntry(0, energy, *(terms or (None, None))[:2],
                             "clamp" if clamped else "step")]
-        crossings = _crossings(phi.data)
+        crossings = edge_crossings(phi.data)
 
         for it in range(1, params.max_iters + 1):
             # the rhs becomes the new phi in place: rhs * dt + phi
@@ -241,7 +221,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
             trace.append(TraceEntry(it, energy, *(terms or (None, None))[:2], event))
             iterations_run = it
 
-            previous, crossings = crossings, _crossings(phi.data)
+            previous, crossings = crossings, edge_crossings(phi.data)
             still = _interface_motion(previous, crossings) < params.stop_tol
             streak = streak + 1 if still else 0
             if streak >= STOP_WINDOW:

@@ -12,7 +12,6 @@ from levelseg.grid import (
     ScalarField,
     Scratch,
     curvature,
-    curvature_array,
     delta_eps,
     divide_by,
     edge_detector,
@@ -62,21 +61,25 @@ class TestScalarField:
 
 class TestGradient:
     def test_constant_field_zero(self):
-        g = gradient(field_from(lambda x, y: np.full_like(x, 5.0), 8, 8))
+        f = field_from(lambda x, y: np.full_like(x, 5.0), 8, 8)
+        g = gradient(f.data, f.spacing)
         assert np.all(g.dx == 0.0) and np.all(g.dy == 0.0)
 
     def test_linear_ramp(self):
-        g = gradient(field_from(lambda x, y: x, 5, 5))
+        f = field_from(lambda x, y: x, 5, 5)
+        g = gradient(f.data, f.spacing)
         assert np.allclose(g.dx[1:-1, 1:-1], 1.0)
         assert np.allclose(g.dy, 0.0)
 
     def test_quadratic_central_difference_exact(self):
         # central difference of x^2 is exact: ((x+1)^2 - (x-1)^2)/2 = 2x
-        g = gradient(field_from(lambda x, y: x * x, 9, 9))
+        f = field_from(lambda x, y: x * x, 9, 9)
+        g = gradient(f.data, f.spacing)
         assert abs(g.dx[4, 4] - 8.0) < 1e-9
 
     def test_spacing_scales_components(self):
-        g = gradient(field_from(lambda x, y: x, 5, 5, spacing=0.5))
+        f = field_from(lambda x, y: x, 5, 5, spacing=0.5)
+        g = gradient(f.data, f.spacing)
         assert np.allclose(g.dx[1:-1, 1:-1], 2.0)
 
     def test_linearity(self):
@@ -84,8 +87,8 @@ class TestGradient:
         f = rng.normal(size=(12, 10))
         g = rng.normal(size=(12, 10))
         a, b = 2.5, -1.25
-        combo = gradient(ScalarField(a * f + b * g))
-        gf, gg = gradient(ScalarField(f)), gradient(ScalarField(g))
+        combo = gradient(a * f + b * g)
+        gf, gg = gradient(f), gradient(g)
         assert np.allclose(combo.dx, a * gf.dx + b * gg.dx, atol=1e-12)
         assert np.allclose(combo.dy, a * gf.dy + b * gg.dy, atol=1e-12)
 
@@ -96,22 +99,25 @@ class TestGradient:
     def test_equals_numpy_gradient_bit_for_bit(self, height, width, spacing):
         f = np.random.default_rng(height * width).normal(size=(height, width)) * 7.0
         dy, dx = np.gradient(f, spacing)
-        g = gradient(ScalarField(f, spacing))
+        g = gradient(f, spacing)
         assert g.dx.tobytes() == dx.tobytes()
         assert g.dy.tobytes() == dy.tobytes()
 
 
 class TestGradientMagnitude:
     def test_constant_is_zero(self):
-        m = gradient_magnitude(field_from(lambda x, y: np.full_like(x, 3.0), 6, 6))
+        f = field_from(lambda x, y: np.full_like(x, 3.0), 6, 6)
+        m = gradient_magnitude(f.data, f.spacing)
         assert np.all(m == 0.0)
 
     def test_unit_ramp(self):
-        m = gradient_magnitude(field_from(lambda x, y: x, 6, 6))
+        f = field_from(lambda x, y: x, 6, 6)
+        m = gradient_magnitude(f.data, f.spacing)
         assert np.allclose(m[1:-1, 1:-1], 1.0)
 
     def test_three_four_five(self):
-        m = gradient_magnitude(field_from(lambda x, y: 3.0 * x + 4.0 * y, 7, 7))
+        f = field_from(lambda x, y: 3.0 * x + 4.0 * y, 7, 7)
+        m = gradient_magnitude(f.data, f.spacing)
         assert np.allclose(m[1:-1, 1:-1], 5.0)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e100, 1e-100])
@@ -149,15 +155,16 @@ class TestEdgeDetector:
 
 class TestCurvature:
     def test_affine_field_zero_interior(self):
-        k = curvature(field_from(lambda x, y: x + 2.0 * y, 9, 9))
-        assert np.all(np.abs(k.data[1:-1, 1:-1]) < 1e-9)
+        f = field_from(lambda x, y: x + 2.0 * y, 9, 9)
+        k = curvature(f.data, f.spacing)
+        assert np.all(np.abs(k[1:-1, 1:-1]) < 1e-9)
 
     @pytest.mark.parametrize("r", [8.0, 10.0, 12.0, 20.0])
     def test_circle_sdf_matches_inverse_radius(self, r):
         import scipy.ndimage as ndi
 
         phi = circle_sdf(64, 64, 31.5, 31.5, r)
-        k = curvature(phi).data
+        k = curvature(phi.data, phi.spacing)
         # evaluate on the zero level: bilinear interpolation at analytic
         # circle points, compared against the analytic curvature 1/r
         theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
@@ -170,18 +177,18 @@ class TestCurvature:
     def test_negation_flips_sign(self):
         rng = np.random.default_rng(3)
         base = ndsmooth(rng.normal(size=(16, 16)))
-        k_pos = curvature(ScalarField(base)).data
-        k_neg = curvature(ScalarField(-base)).data
+        k_pos = curvature(base)
+        k_neg = curvature(-base)
         assert np.allclose(k_neg, -k_pos, atol=1e-12)
 
     def test_clamped_to_inverse_spacing(self):
         rng = np.random.default_rng(4)
-        k = curvature(ScalarField(rng.normal(size=(20, 20)), spacing=0.5))
-        assert np.abs(k.data).max() <= 2.0 + 1e-12
+        k = curvature(rng.normal(size=(20, 20)), spacing=0.5)
+        assert np.abs(k).max() <= 2.0 + 1e-12
 
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ValueError):
-            curvature(ScalarField(np.zeros((4, 4))), eta=0.0)
+            curvature(np.zeros((4, 4)), eta=0.0)
 
     @pytest.mark.parametrize("height, width, spacing", [
         (3, 3, 1.0), (7, 11, 0.37), (64, 200, 2.5),
@@ -199,18 +206,18 @@ class TestCurvature:
         num = pxx * py * py - 2.0 * px * py * pxy + pyy * px * px
         den = np.power(px * px + py * py + CURVATURE_ETA, 1.5)
         expected = np.clip(num / den, -1.0 / h, 1.0 / h)
-        k = curvature_array(phi, spacing)
+        k = curvature(phi, spacing)
         assert np.allclose(k, expected, rtol=1e-12, atol=0.0)
 
     def test_scratch_gives_the_same_result_and_keeps_no_state(self):
         rng = np.random.default_rng(8)
         phi = ndsmooth(rng.normal(size=(13, 17)))
         other = ndsmooth(rng.normal(size=(13, 17))) * 40.0
-        fresh = curvature_array(phi, 0.5)
+        fresh = curvature(phi, 0.5)
         scratch = Scratch(phi.shape)
-        first = curvature_array(phi, 0.5, scratch=scratch)
-        curvature_array(other, 0.5, scratch=scratch)
-        again = curvature_array(phi, 0.5, scratch=scratch)
+        first = curvature(phi, 0.5, scratch=scratch)
+        curvature(other, 0.5, scratch=scratch)
+        again = curvature(phi, 0.5, scratch=scratch)
         assert first.tobytes() == fresh.tobytes()
         assert again.tobytes() == fresh.tobytes()
         for work in (scratch.padded, *scratch.arrays):
@@ -218,13 +225,13 @@ class TestCurvature:
 
     def test_scratch_of_another_shape_is_refused(self):
         with pytest.raises(ValueError):
-            curvature_array(np.zeros((5, 6)), scratch=Scratch((6, 5)))
+            curvature(np.zeros((5, 6)), scratch=Scratch((6, 5)))
 
 
 def curvature_array_reference(phi, spacing=1.0, eta=CURVATURE_ETA):
-    """curvature_array as it was before its stencils became flat runs: the
-    same operations in the same order on 2-D views of a padded copy, in
-    arrays of its own. curvature_array must give the same bits."""
+    """curvature (then named curvature_array) as it was before its stencils
+    became flat runs: the same operations in the same order on 2-D views of
+    a padded copy, in arrays of its own. curvature must give the same bits."""
     h = spacing
     p = np.pad(phi, 1, mode="edge")
     c = p[1:-1, 1:-1]
@@ -277,11 +284,11 @@ class TestFlatRuns:
         for phi in (rng.normal(size=(height, width)) * 5.0,
                     ndsmooth(rng.normal(size=(height, width))) * 40.0):
             expected = curvature_array_reference(phi, spacing).tobytes()
-            assert curvature_array(phi, spacing).tobytes() == expected
-            assert curvature_array(phi, spacing, scratch=scratch).tobytes() == expected
+            assert curvature(phi, spacing).tobytes() == expected
+            assert curvature(phi, spacing, scratch=scratch).tobytes() == expected
             # a phi that is not row-major is read as it is
             flipped = np.asfortranarray(phi)
-            assert curvature_array(flipped, spacing, scratch=scratch).tobytes() == expected
+            assert curvature(flipped, spacing, scratch=scratch).tobytes() == expected
 
     @pytest.mark.parametrize("height, width, spacing", FLAT_RUN_SHAPES)
     def test_gradient_into_the_set_equals_numpy(self, height, width, spacing):
@@ -289,7 +296,7 @@ class TestFlatRuns:
         dy, dx = np.gradient(f, spacing)
         scratch = Scratch((height, width))
         scratch.arrays[0].fill(np.nan)  # nothing of an earlier use may show
-        g = gradient(ScalarField(f, spacing), out=scratch.arrays[:2])
+        g = gradient(f, spacing, out=scratch.arrays[:2])
         assert g.dx is scratch.arrays[0] and g.dy is scratch.arrays[1]
         assert g.dx.tobytes() == dx.tobytes()
         assert g.dy.tobytes() == dy.tobytes()
@@ -297,7 +304,14 @@ class TestFlatRuns:
     def test_gradient_refuses_an_output_that_is_not_row_major(self):
         f = ScalarField(np.zeros((5, 6)))
         with pytest.raises(ValueError):
-            gradient(f, out=(np.empty((6, 5)).T, np.empty((5, 6))))
+            gradient(f.data, f.spacing, out=(np.empty((6, 5)).T, np.empty((5, 6))))
+
+    def test_gradients_refuse_an_input_that_is_not_row_major(self):
+        f = np.zeros((6, 5)).T
+        with pytest.raises(ValueError, match="row-major"):
+            gradient(f)
+        with pytest.raises(ValueError, match="row-major"):
+            gradient_magnitude(f, out=tuple(np.empty((5, 6)) for _ in range(3)))
 
     def test_fields_are_row_major(self):
         data = np.arange(20.0).reshape(4, 5)
@@ -407,8 +421,8 @@ class TestGaussianSmooth:
     def test_reduces_gradient_of_step(self):
         step = np.zeros((16, 16))
         step[:, 8:] = 1.0
-        raw = gradient_magnitude(ScalarField(step)).max()
-        smoothed = gradient_magnitude(gaussian_smooth(ScalarField(step))).max()
+        raw = gradient_magnitude(step).max()
+        smoothed = gradient_magnitude(gaussian_smooth(ScalarField(step)).data).max()
         assert smoothed < raw
 
 
@@ -469,22 +483,23 @@ class TestWrittenIntoGivenArrays:
     def test_gradient_and_magnitude_fill_the_given_arrays(self, spacing):
         f = ScalarField(self.samples()[1:] * 1e-3, spacing)
         dx, dy, m = (np.full_like(f.data, np.nan) for _ in range(3))
-        g = gradient(f, out=(dx, dy))
+        g = gradient(f.data, f.spacing, out=(dx, dy))
         assert g.dx is dx and g.dy is dy
-        fresh = gradient(f)
+        fresh = gradient(f.data, f.spacing)
         assert dx.tobytes() == fresh.dx.tobytes() and dy.tobytes() == fresh.dy.tobytes()
-        assert gradient_magnitude(f, out=(dx, dy, m)) is m
-        assert m.tobytes() == gradient_magnitude(f).tobytes()
+        assert gradient_magnitude(f.data, f.spacing, out=(dx, dy, m)) is m
+        assert m.tobytes() == gradient_magnitude(f.data, f.spacing).tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_gradient_of_a_valid_field_is_not_checked_again(self):
         # neighbours 2 * 1.7e308 apart: the differences overflow to Inf, as
-        # in curvature_array, instead of raising; the caller checks
+        # in curvature, instead of raising; the caller checks
         d = np.full((5, 6), -1.7e308)
         d[:, 3:] = 1.7e308
         f = ScalarField(d)
         with np.errstate(over="ignore"):
-            g = gradient(f)
-            m = gradient_magnitude(f, out=tuple(np.empty_like(d) for _ in range(3)))
+            g = gradient(f.data, f.spacing)
+            m = gradient_magnitude(f.data, f.spacing,
+                                   out=tuple(np.empty_like(d) for _ in range(3)))
         assert np.isinf(g.dx[:, 2:4]).all() and np.isfinite(g.dy).all()
         assert np.isinf(m[:, 2:4]).all()

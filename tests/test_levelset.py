@@ -9,6 +9,7 @@ from levelseg.levelset import (
     InitShape,
     contour_csv,
     default_seed_grid,
+    edge_crossings,
     extract_contour,
     mask_inside,
     reinitialize,
@@ -30,7 +31,7 @@ class TestSignedDistance:
 
     def test_circle_gradient_is_unit(self):
         phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
-        mag = gradient_magnitude(phi)
+        mag = gradient_magnitude(phi.data, phi.spacing)
         x, y = np.meshgrid(np.arange(64.0), np.arange(64.0))
         dist = np.hypot(x - 32, y - 32)
         away = (dist > 2.0) & (np.abs(dist - 10.0) > 2.0)
@@ -149,6 +150,14 @@ class TestExtractContour:
                 val = (1 - fy) * d[y0, x0] + fy * d[y0 + 1, x0]
             assert abs(val) < 1e-9
 
+    def test_vertices_are_the_edge_crossings(self):
+        # the contour and the solver's stop rule place a crossing by one rule
+        phi = signed_distance(InitShape.circle_grid(2, 2, 6.3, 48, 40), 48, 40)
+        (h_keys, h_t), (v_keys, v_t) = edge_crossings(phi.data)
+        expected = sorted([(k % 48 + t, k // 48) for k, t in zip(h_keys, h_t)]
+                          + [(k % 48, k // 48 + t) for k, t in zip(v_keys, v_t)])
+        assert sorted(map(tuple, extract_contour(phi).vertices().tolist())) == expected
+
     def test_grid_of_circles_yields_loops(self):
         phi = signed_distance(InitShape.circle_grid(2, 2, 6, 64, 64), 64, 64)
         contour = extract_contour(phi)
@@ -242,7 +251,7 @@ class TestReinitialize:
         phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
         scaled = ScalarField(3.0 * phi.data)
         out = reinitialize(scaled, iterations=40)
-        mag = gradient_magnitude(out)
+        mag = gradient_magnitude(out.data, out.spacing)
         near = np.abs(phi.data) < 5.0
         frac = ((mag[near] > 0.9) & (mag[near] < 1.1)).mean()
         assert frac >= 0.9

@@ -8,7 +8,6 @@ from levelseg.grid import (
     ScalarField,
     Scratch,
     curvature,
-    curvature_array,
     delta_eps,
     heaviside_eps,
 )
@@ -176,7 +175,7 @@ class TestModifiedRhs:
         params = EvolveParams(mu=3.0, nu=0.25, alpha=1.0)
         rhs = modified_rhs(u0, phi, stats, params)
         expected = delta_eps(phi.data, params.eps) * (
-            params.mu * curvature(phi).data - params.nu
+            params.mu * curvature(phi.data, phi.spacing) - params.nu
         )
         assert np.array_equal(rhs.data, expected)
 
@@ -279,6 +278,24 @@ class TestScratch:
         assert reused.tobytes() == fresh.tobytes()
         for work in (scratch.padded, *scratch.arrays):
             assert not np.shares_memory(reused, work)
+
+    def test_geodesic_step_builds_no_field(self, monkeypatch):
+        # its kernels take arrays, so nothing it computes is validated again
+        u0, phi = random_fields(3)
+        scratch = Scratch(phi.data.shape)
+        geodesic_flow_rhs(u0, phi, EvolveParams(), scratch=scratch)
+        built = []
+        check = ScalarField.__post_init__
+
+        def counted(field):
+            built.append(field.data.shape)
+            check(field)
+
+        monkeypatch.setattr(ScalarField, "__post_init__", counted)
+        geodesic_flow_rhs(u0, phi, EvolveParams(), scratch=scratch)
+        assert built == []
+        ScalarField(np.zeros((3, 4)))
+        assert built == [(3, 4)]
 
 
 class TestEnergies:
@@ -427,7 +444,7 @@ def geodesic_rhs_reference(u, phi, spacing):
     g = 1.0 / (1.0 + z * z)
     gy, gx = np.gradient(g, spacing)
     py, px = np.gradient(phi, spacing)
-    kappa = curvature_array(phi, spacing)
+    kappa = curvature(phi, spacing)
     return kappa * g * np.sqrt(px * px + py * py) + px * gx + py * gy
 
 

@@ -25,7 +25,7 @@ from levelseg import grid
 from levelseg.grid import (
     ScalarField,
     Scratch,
-    curvature_array,
+    curvature,
     delta_eps,
     edge_detector,
     gaussian_smooth,
@@ -76,19 +76,20 @@ def outputs(kernel, u0, phi):
     params = EvolveParams(mu=0.2, nu=0.1, lam=1.5)
     scratch = Scratch(phi.data.shape)
     smooth = gaussian_smooth(u0)
-    if kernel == "curvature_array":
-        got = [curvature_array(phi.data, phi.spacing), curvature_array(phi.data, phi.spacing,
-                                                                      scratch=scratch)]
+    if kernel == "curvature":
+        got = [curvature(phi.data, phi.spacing), curvature(phi.data, phi.spacing,
+                                                           scratch=scratch)]
     elif kernel == "gradient":
-        got = [*gradient(phi), *gradient(u0)]
+        got = [*gradient(phi.data, phi.spacing), *gradient(u0.data, u0.spacing)]
     elif kernel == "gradient_magnitude":
-        got = [gradient_magnitude(phi), gradient_magnitude(smooth)]
+        got = [gradient_magnitude(phi.data, phi.spacing),
+               gradient_magnitude(smooth.data, smooth.spacing)]
     elif kernel == "heaviside_and_delta":
         eps_rows = np.linspace(0.5, 2.0, phi.height)[:, None]
         got = [f(phi.data, eps) for f in (heaviside_eps, delta_eps)
                for eps in (1.0, 0.5, 0.3, eps_rows)]
     elif kernel == "edge_detector":
-        got = [edge_detector(gradient_magnitude(smooth))]
+        got = [edge_detector(gradient_magnitude(smooth.data, smooth.spacing))]
     elif kernel == "reinitialize":
         got = [reinitialize(phi, 12, scratch=scratch).data]
     elif kernel == "region":
@@ -104,7 +105,7 @@ def outputs(kernel, u0, phi):
     return b"".join(a.tobytes() for a in got)
 
 
-KERNELS = ["curvature_array", "gradient", "gradient_magnitude", "heaviside_and_delta",
+KERNELS = ["curvature", "gradient", "gradient_magnitude", "heaviside_and_delta",
            "edge_detector", "reinitialize", "region", "geodesic"]
 # uneven slabs: neither height divides by 2, 3 or 4 slabs into equal parts
 # at once, and the second grid has h = 0.5 and fewer columns than rows
@@ -251,9 +252,9 @@ class TestSplitRows:
 
     def test_no_thread_before_the_first_split(self):
         probe = ("import threading, numpy as np\n"
-                 "from levelseg.grid import ScalarField, curvature_array\n"
+                 "from levelseg.grid import ScalarField, curvature\n"
                  "n = threading.active_count()\n"
-                 "curvature_array(np.zeros((256, 256)))\n"
+                 "curvature(np.zeros((256, 256)))\n"
                  "print(n, threading.active_count())\n")
         src = os.path.dirname(os.path.dirname(grid.__file__))
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

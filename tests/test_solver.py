@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
-from levelseg.grid import ScalarField, heaviside_eps
-from levelseg.levelset import InitShape, extract_contour, signed_distance
+from levelseg import models
+from levelseg.grid import ScalarField, curvature, heaviside_eps
+from levelseg.levelset import InitShape, edge_crossings, extract_contour, signed_distance
 from levelseg.models import EvolveParams
 from levelseg.solver import (
     SegmentationResult,
-    _crossings,
     _interface_motion,
     _shared_keys,
     evolve,
@@ -276,23 +276,53 @@ class TestInterfaceMotion:
         return x - x0
 
     def test_crossings_are_subpixel(self):
-        (h_keys, h_t), (v_keys, v_t) = _crossings(self.ramp(2.3))
+        (h_keys, h_t), (v_keys, v_t) = edge_crossings(self.ramp(2.3))
         assert np.array_equal(h_keys, np.arange(5) * 6 + 2)
         assert np.allclose(h_t, 0.3)
         assert len(v_keys) == 0 and len(v_t) == 0
 
     def test_motion_is_mean_shift_in_px(self):
-        assert _interface_motion(_crossings(self.ramp(2.3)), _crossings(self.ramp(2.5))) \
+        assert _interface_motion(edge_crossings(self.ramp(2.3)),
+                                 edge_crossings(self.ramp(2.5))) \
             == pytest.approx(0.2)
-        assert _interface_motion(_crossings(self.ramp(2.3)), _crossings(self.ramp(2.3))) == 0.0
+        assert _interface_motion(edge_crossings(self.ramp(2.3)),
+                                 edge_crossings(self.ramp(2.3))) == 0.0
 
     def test_crossing_that_changes_edge_counts_one_px(self):
         # every crossing leaves its edge for the next one: 5 vanish, 5 appear
-        assert _interface_motion(_crossings(self.ramp(2.3)), _crossings(self.ramp(3.2))) == 1.0
+        assert _interface_motion(edge_crossings(self.ramp(2.3)),
+                                 edge_crossings(self.ramp(3.2))) == 1.0
 
     def test_no_contour_is_still(self):
         flat = np.ones((5, 6))
-        assert _interface_motion(_crossings(flat), _crossings(flat)) == 0.0
+        assert _interface_motion(edge_crossings(flat), edge_crossings(flat)) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_crossings_near_the_largest_float_sit_halfway(self):
+        # phi_a - phi_b of a +-1.7e308 disk is beyond the largest float; the
+        # halved values are not, so every crossing is halfway along its edge
+        sdf = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
+        phi = np.where(sdf >= 0.0, 1.7e308, -1.7e308)
+        for keys, t in edge_crossings(phi):
+            assert len(keys) > 0 and np.all(t == 0.5)
+
+
+class TestOneStencil:
+    @pytest.mark.parametrize("model", ["chan_vese", "modified", "geodesic"])
+    def test_each_step_calls_the_curvature_of_models_once(self, monkeypatch, model):
+        # the stencil runs under the name the benchmark times it by
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return curvature(*args, **kwargs)
+
+        monkeypatch.setattr(models, "curvature", counted)
+        phi0 = signed_distance(InitShape.circle(32, 32, 14), 64, 64)
+        res = evolve(model, normalized_disk(), phi0,
+                     EvolveParams(mu=0.2, stop_tol=0.0, max_iters=7, reinit_every=3))
+        assert res.iterations_run == 7
+        assert calls == [(64, 64)] * 7
 
 
 class TestSharedKeys:
