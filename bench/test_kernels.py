@@ -6,9 +6,11 @@ the kernels run on row slabs, one per usable CPU (grid.split_rows):
     python -m pytest bench/test_kernels.py
 
 Tier-1 does not collect this directory (testpaths is ["tests"]). The
-inputs are the benchmark's kind of level set, the 4 x 4 seed circles of
-levelset.default_seed_grid, and a seeded uniform image in [0, 1], which
-the geodesic kernels get pre-smoothed, as evolve passes it to them.
+inputs are a level set of 4 x 4 circles of radius n/10, pinned so that
+the per-kernel timings keep measuring the same field, and a seeded uniform
+image in [0, 1], which the geodesic kernels get pre-smoothed, as evolve
+passes it to them. extract_contour also runs on levelset.default_seed_grid,
+the dense periodic start of the region models.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from levelseg.grid import (
     gradient_magnitude,
 )
 from levelseg.levelset import (
+    InitShape,
     default_seed_grid,
     edge_crossings,
     extract_contour,
@@ -47,7 +50,7 @@ SCRATCH = pytest.mark.parametrize("scratch", ["fresh", "reused"])
 def fields(request):
     n = request.param
     u0 = ScalarField(np.random.default_rng(n).random((n, n)))
-    phi = signed_distance(default_seed_grid(n, n), n, n)
+    phi = signed_distance(InitShape.circle_grid(4, 4, n / 10, n, n), n, n)
     return u0, phi
 
 
@@ -140,7 +143,11 @@ def test_interface_motion(benchmark, fields):
     benchmark(_interface_motion, edge_crossings(phi), edge_crossings(phi + 0.25))
 
 
-# the contour evolve traces at the end of every run, from the seed circles
-@pytest.mark.parametrize("n", [256, 512], ids=lambda n: f"{n}px")
-def test_extract_contour(benchmark, n):
-    benchmark(extract_contour, signed_distance(default_seed_grid(n, n), n, n))
+# the contour evolve traces at the end of every run: of the seed circles,
+# and of the dense periodic start, which a run stopped early returns
+@pytest.mark.parametrize("n, start", [(256, "circles"), (512, "circles"), (256, "periodic")],
+                         ids=lambda v: f"{v}px" if isinstance(v, int) else v)
+def test_extract_contour(benchmark, n, start):
+    shape = (InitShape.circle_grid(4, 4, n / 10, n, n) if start == "circles"
+             else default_seed_grid(n, n))
+    benchmark(extract_contour, signed_distance(shape, n, n))

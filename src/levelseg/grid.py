@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.ndimage as ndi
 
 # Guard added to |grad phi|^2 inside the curvature denominator; keeps the
 # stencil branch-free where the gradient vanishes.
@@ -701,4 +700,7 @@ _KERNEL5 = np.outer(_G5, _G5) / np.outer(_G5, _G5).sum()
 
 def gaussian_smooth(f: ScalarField) -> ScalarField:
     """Convolve with the fixed 5x5 sigma=1 Gaussian, edge-replicated borders."""
+    # imported on the first call: only the geodesic flow smooths, and the
+    # import about doubles the resident memory of a region-model process
+    import scipy.ndimage as ndi
     return f.like(ndi.convolve(f.data, _KERNEL5, mode="nearest"))

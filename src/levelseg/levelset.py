@@ -2,15 +2,16 @@
 
 Sign convention used throughout the package: phi >= 0 is *inside* the
 contour. Initializers build signed-distance fields for circles, circle
-grids, and rectangles; ``reinitialize`` restores |grad phi| ~ 1 without
-moving the zero level; ``extract_contour`` traces the zero level as
-subpixel polylines via marching squares.
+grids and rectangles, and a periodic field; ``reinitialize`` restores
+|grad phi| ~ 1 without moving the zero level; ``extract_contour`` traces
+the zero level as subpixel polylines via marching squares.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ BORDER_MARGIN = 2.0  # init shapes must keep this many pixels of clearance
 
 @dataclass(frozen=True)
 class InitShape:
-    """Initial-contour geometry: a circle, a grid of circles, or a rectangle.
+    """Initial-contour geometry: circle, circle grid, rectangle or periodic.
 
     Coordinates are pixel units, x along columns and y along rows.
     """
@@ -31,6 +32,7 @@ class InitShape:
     centers: tuple = ()          # circle / grid: ((cx, cy), ...)
     radius: float = 0.0          # circle / grid
     corners: tuple = ()          # rect: (x0, y0, x1, y1)
+    period: float = 0.0          # periodic
 
     @classmethod
     def circle(cls, cx: float, cy: float, radius: float) -> "InitShape":
@@ -54,6 +56,10 @@ class InitShape:
             raise ValueError(f"rectangle corners must satisfy x1 > x0, y1 > y0: {(x0, y0, x1, y1)}")
         return cls(kind="rect", corners=(float(x0), float(y0), float(x1), float(y1)))
 
+    @classmethod
+    def periodic(cls, period: float) -> "InitShape":
+        return cls(kind="periodic", period=float(period))
+
     def validate(self, width: int, height: int) -> None:
         """Shapes must fit strictly inside the grid with a 2-pixel margin."""
         lo_x, lo_y = BORDER_MARGIN, BORDER_MARGIN
@@ -75,30 +81,36 @@ class InitShape:
                     f"rectangle {self.corners} does not fit a {width}x{height} grid "
                     f"with a {BORDER_MARGIN:.0f}px margin"
                 )
+        elif self.kind == "periodic":
+            if not (0 < self.period < math.inf):
+                raise ValueError(f"period must be positive and finite, got {self.period}")
         else:
             raise ValueError(f"unknown init shape kind: {self.kind!r}")
 
 
 def default_seed_grid(width: int, height: int) -> InitShape:
-    """The default initializer: a 4x4 grid of circles of radius min(w, h)/10.
-
-    Multiple seeds let the region models latch onto disconnected structures;
-    a single shrinking contour easily misses them. The outer circles sit
-    min(w, h)/8 from the edges and the last pixel is at w - 1, so below
-    120 px the radius shrinks to keep the BORDER_MARGIN that signed_distance
-    checks; below 24 px no radius fits.
+    """The default initializer, for a grid of any size: the periodic shape
+    of period 5 px (Getreuer, "Chan-Vese Segmentation", IPOL 2012), whose
+    phi0 is signed-distance-like only near its zero level. The region
+    models move phi through delta_eps(phi), which falls off as 1/phi^2;
+    with |phi0| <= 5/pi every pixel moves from the first step, and no
+    structure lies between seeds, as between the circles of a circle grid.
     """
-    n = min(width, height)
-    radius = min(n / 10.0, n / 8.0 - (BORDER_MARGIN + 1.0))
-    return InitShape.circle_grid(4, 4, radius, width, height)
+    return InitShape.periodic(5.0)
 
 
 def signed_distance(shape: InitShape, width: int, height: int) -> ScalarField:
     """Signed distance to the shape boundary: positive inside, negative
     outside, |grad| = 1 away from the medial axis. Circle grids take the
     pointwise max over the per-circle distances.
+    A periodic shape of period p gives phi0 = (p/pi) sin(pi x/p) sin(pi y/p):
+    1-Lipschitz, |phi0| <= p/pi, signed-distance-like only near phi0 = 0.
     """
     shape.validate(width, height)
+    if shape.kind == "periodic":
+        p = shape.period
+        wave = np.sin(np.arange(max(width, height), dtype=np.float64) * (math.pi / p))
+        return ScalarField(np.multiply.outer(wave[:height] * (p / math.pi), wave[:width]))
     x, y = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
     if shape.kind in ("circle", "grid"):
         phi = np.full((height, width), -np.inf)
@@ -266,7 +278,8 @@ def edge_crossings(phi: np.ndarray) -> list:
     other is not; its key is the flat index of a, in ascending order, and the
     crossing lies at t = phi_a / (phi_a - phi_b) of the way from a to b.
     phi_a and phi_b are halved first (exact for normal floats), so that the
-    difference cannot overflow where |phi| nears the largest float.
+    difference cannot overflow where |phi| nears the largest float. Halving
+    rounds the smallest subnormals to 0, so t is 0 where both halves are.
     """
     flat = phi.ravel()
     inside = flat >= 0.0
@@ -277,8 +290,8 @@ def edge_crossings(phi: np.ndarray) -> list:
         if step == 1:
             keys = keys[keys % width != width - 1]  # not from a row's end to the next row
         a = flat[keys] * 0.5
-        b = flat[keys + step] * 0.5
-        found.append((keys, a / (a - b)))
+        gap = a - flat[keys + step] * 0.5
+        found.append((keys, np.divide(a, gap, out=np.zeros_like(a), where=gap != 0.0)))
     return found
 
 

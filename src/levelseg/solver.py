@@ -19,11 +19,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import levelset
 from .grid import ScalarField, Scratch, gaussian_smooth, rowwise
-from .levelset import Contour, edge_crossings, extract_contour, mask_inside, reinitialize
-# the per-model wrappers chan_vese_rhs, modified_rhs, geodesic_rhs,
+# mask_inside and the wrappers chan_vese_rhs, modified_rhs, geodesic_rhs,
 # energy_chan_vese and energy_modified are not called here; they stay
 # importable from this module, where perfbench/tracer.py looks them up
+from .levelset import (  # noqa: F401
+    Contour, edge_crossings, extract_contour, mask_inside, reinitialize)
 from .models import (  # noqa: F401
     MODEL_NAMES,
     EvolveParams,
@@ -50,7 +52,7 @@ STOP_WINDOW = 5
 _NO_STATS = RegionStats(c1=0.0, c2=0.0, n_inside=0, n_outside=0, max_intensity=0.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     """One row of the energy trace. c_inside and c_outside are the first two
     of models.region_terms: c1 for Chan-Vese or the fixed alpha*M target for
@@ -70,7 +72,6 @@ class TraceEntry:
 @dataclass
 class SegmentationResult:
     phi_final: ScalarField
-    mask: np.ndarray
     contour: Contour
     energy_trace: list
     stats_final: RegionStats
@@ -79,6 +80,12 @@ class SegmentationResult:
     dt_used: float
     dt_clamped: bool
     diagnostics: Optional[str] = None
+
+    @property
+    def mask(self) -> np.ndarray:
+        """{phi_final >= 0}, built on each access through levelset: tracers
+        of evolve wrap this module's name mask_inside."""
+        return levelset.mask_inside(self.phi_final)
 
 
 def stability_dt(params: EvolveParams, model: str, spacing: float = 1.0) -> float:
@@ -228,9 +235,12 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
                 stop_reason = "converged"
                 break
 
+    # phi's data is a view of the curvature's h x (w + 2) run buffer; the
+    # result keeps an h x w copy, made once the work set is freed
+    del scratch
+    phi = phi.like(phi.data.copy())
     return SegmentationResult(
         phi_final=phi,
-        mask=mask_inside(phi),
         contour=extract_contour(phi),
         energy_trace=trace,
         stats_final=stats,

@@ -70,20 +70,58 @@ class TestSignedDistance:
 
     def test_default_seed_grid(self):
         shape = default_seed_grid(128, 128)
-        assert shape.kind == "grid"
-        assert len(shape.centers) == 16
-        assert shape.radius == pytest.approx(12.8)
-        signed_distance(shape, 128, 128)  # fits with margin
+        assert shape.kind == "periodic"
+        assert shape.period == 5.0
+        signed_distance(shape, 128, 128)  # needs no margin
 
     @pytest.mark.parametrize("width, height", [(64, 64), (100, 100), (64, 200), (300, 90)])
     def test_default_seed_grid_fits_small_grids(self, width, height):
         shape = default_seed_grid(width, height)
-        assert shape.radius > 0
-        signed_distance(shape, width, height)  # fits with margin
+        assert shape.period > 0
+        assert signed_distance(shape, width, height).data.shape == (height, width)
 
     def test_default_seed_grid_too_small(self):
-        with pytest.raises(ValueError):
-            signed_distance(default_seed_grid(24, 24), 24, 24)
+        # the periodic default has no size floor; only its period is checked
+        signed_distance(default_seed_grid(24, 24), 24, 24)
+        for period in (0.0, -5.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                signed_distance(InitShape.periodic(period), 24, 24)
+
+
+class TestPeriodicInit:
+    """phi0 = (p/pi) sin(pi x/p) sin(pi y/p), the region models' default start."""
+
+    SIZES = pytest.mark.parametrize("width, height", [(3, 3), (24, 24), (300, 90)])
+
+    @SIZES
+    @pytest.mark.parametrize("period", [5.0, 7.5])
+    def test_bounded_by_period_over_pi(self, width, height, period):
+        phi = signed_distance(InitShape.periodic(period), width, height).data
+        assert phi.shape == (height, width)
+        assert np.all(np.abs(phi) <= period / np.pi)
+
+    @SIZES
+    def test_one_lipschitz(self, width, height):
+        phi = signed_distance(default_seed_grid(width, height), width, height).data
+        rng = np.random.default_rng(width * height)
+        idx = rng.integers(0, [height, width, height, width], size=(400, 4))
+        for y1, x1, y2, x2 in idx:
+            lhs = abs(phi[y1, x1] - phi[y2, x2])
+            assert lhs <= np.hypot(x1 - x2, y1 - y2) + 1e-9
+        # neighbours, where the bound is tightest
+        assert np.all(np.abs(np.diff(phi, axis=0)) <= 1.0)
+        assert np.all(np.abs(np.diff(phi, axis=1)) <= 1.0)
+
+    @pytest.mark.parametrize("width, height", [(24, 24), (300, 90)])
+    def test_both_signs(self, width, height):
+        inside = mask_inside(signed_distance(default_seed_grid(width, height), width, height))
+        assert inside.any() and not inside.all()
+
+    def test_zero_level_on_every_fifth_line(self):
+        phi = signed_distance(default_seed_grid(24, 24), 24, 24).data
+        assert np.all(np.abs(phi[::5]) < 1e-14)
+        assert np.all(np.abs(phi[:, ::5]) < 1e-14)
+        assert phi[2, 2] == pytest.approx(5.0 / np.pi * np.sin(0.4 * np.pi) ** 2)
 
 
 class TestMaskInside:

@@ -62,7 +62,7 @@ def use_slabs(monkeypatch, count):
 
 def fields(height, width, spacing):
     """(u0 in [0, 1], phi) on an uneven grid: a smoothed noisy image and the
-    seed circles' signed distance with a ripple and pixels on the zero level."""
+    default initial level set with a ripple and pixels on the zero level."""
     rng = np.random.default_rng(height * 1000 + width)
     u = np.clip(ndi.uniform_filter(rng.random((height, width)), 5) * 1.6 - 0.3, 0.0, 1.0)
     phi = signed_distance(default_seed_grid(width, height), width, height).data * spacing

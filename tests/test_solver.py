@@ -7,7 +7,13 @@ import scipy.ndimage as ndi
 
 from levelseg import models
 from levelseg.grid import ScalarField, curvature, heaviside_eps
-from levelseg.levelset import InitShape, edge_crossings, extract_contour, signed_distance
+from levelseg.levelset import (
+    InitShape,
+    default_seed_grid,
+    edge_crossings,
+    extract_contour,
+    signed_distance,
+)
 from levelseg.models import EvolveParams
 from levelseg.solver import (
     SegmentationResult,
@@ -162,6 +168,21 @@ class TestEvolveBasics:
         assert res.stop_reason == "max_iters"
         assert res.iterations_run == 15
 
+    def test_default_start_reaches_a_disc_no_seed_circle_touches(self):
+        # the 4 x 4 circles of radius 12.8 on 128^2 leave (32, 32) 22.6 px
+        # from the nearest centre; from them the run converged with nothing
+        # of the disc inside. The periodic default has a zero level within
+        # 2.5 px of every pixel
+        u0 = normalized_disk(128, 128, 32.0, 32.0, 7.0)
+        truth = u0.data > 0.5
+        for cx, cy in InitShape.circle_grid(4, 4, 12.8, 128, 128).centers:
+            assert np.hypot(cx - 32.0, cy - 32.0) > 12.8 + 7.0
+        phi0 = signed_distance(default_seed_grid(128, 128), 128, 128)
+        res = evolve("modified", u0, phi0, EvolveParams(mu=0.2, max_iters=1500))
+        assert res.stop_reason == "converged"
+        assert res.iterations_run < 300
+        assert (res.mask & truth).sum() / (res.mask | truth).sum() >= 0.95
+
     def test_determinism(self):
         u0 = normalized_disk()
         phi0 = signed_distance(InitShape.circle_grid(2, 2, 7, 64, 64), 64, 64)
@@ -305,6 +326,18 @@ class TestInterfaceMotion:
         phi = np.where(sdf >= 0.0, 1.7e308, -1.7e308)
         for keys, t in edge_crossings(phi):
             assert len(keys) > 0 and np.all(t == 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [(0.0, -5e-324), (-5e-324, 0.0)])
+    def test_zero_next_to_the_smallest_subnormal_crosses_at_zero(self, a, b):
+        # halving rounds -5e-324 to -0, so both halves of the edge are 0 and
+        # t = 0/0; the crossing is taken at pixel a instead of NaN
+        phi = np.full((4, 4), -1.0)
+        phi[1, 1], phi[1, 2] = a, b
+        (h_keys, h_t), _ = edge_crossings(phi)
+        assert np.all(np.isfinite(h_t))
+        assert h_t[list(h_keys).index(5)] == 0.0
+        assert np.all(np.isfinite(extract_contour(ScalarField(phi)).vertices()))
 
 
 class TestOneStencil:
