@@ -19,6 +19,7 @@ import numpy as np
 from .grid import ScalarField, Scratch, divide_by, rowwise, split_rows
 
 BORDER_MARGIN = 2.0  # init shapes must keep this many pixels of clearance
+PERIOD = 5.0  # px, of the periodic shape (Getreuer, "Chan-Vese Segmentation", IPOL 2012)
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class InitShape:
     centers: tuple = ()          # circle / grid: ((cx, cy), ...)
     radius: float = 0.0          # circle / grid
     corners: tuple = ()          # rect: (x0, y0, x1, y1)
-    period: float = 0.0          # periodic
 
     @classmethod
     def circle(cls, cx: float, cy: float, radius: float) -> "InitShape":
@@ -57,11 +57,12 @@ class InitShape:
         return cls(kind="rect", corners=(float(x0), float(y0), float(x1), float(y1)))
 
     @classmethod
-    def periodic(cls, period: float) -> "InitShape":
-        return cls(kind="periodic", period=float(period))
+    def periodic(cls) -> "InitShape":
+        return cls(kind="periodic")
 
     def validate(self, width: int, height: int) -> None:
-        """Shapes must fit strictly inside the grid with a 2-pixel margin."""
+        """Circles and rectangles must fit strictly inside the grid with a
+        2-pixel margin; the periodic shape fits any grid."""
         lo_x, lo_y = BORDER_MARGIN, BORDER_MARGIN
         hi_x, hi_y = width - 1 - BORDER_MARGIN, height - 1 - BORDER_MARGIN
         if self.kind in ("circle", "grid"):
@@ -81,34 +82,32 @@ class InitShape:
                     f"rectangle {self.corners} does not fit a {width}x{height} grid "
                     f"with a {BORDER_MARGIN:.0f}px margin"
                 )
-        elif self.kind == "periodic":
-            if not (0 < self.period < math.inf):
-                raise ValueError(f"period must be positive and finite, got {self.period}")
-        else:
+        elif self.kind != "periodic":
             raise ValueError(f"unknown init shape kind: {self.kind!r}")
 
 
 def default_seed_grid(width: int, height: int) -> InitShape:
-    """The default initializer, for a grid of any size: the periodic shape
-    of period 5 px (Getreuer, "Chan-Vese Segmentation", IPOL 2012), whose
-    phi0 is signed-distance-like only near its zero level. The region
+    """The default initializer, for a grid of any size: the periodic shape,
+    whose phi0 is signed-distance-like only near its zero level. The region
     models move phi through delta_eps(phi), which falls off as 1/phi^2;
-    with |phi0| <= 5/pi every pixel moves from the first step, and no
+    with |phi0| <= PERIOD/pi every pixel moves from the first step, and no
     structure lies between seeds, as between the circles of a circle grid.
+    The arguments are unused: every grid gets the same shape.
     """
-    return InitShape.periodic(5.0)
+    return InitShape.periodic()
 
 
 def signed_distance(shape: InitShape, width: int, height: int) -> ScalarField:
     """Signed distance to the shape boundary: positive inside, negative
     outside, |grad| = 1 away from the medial axis. Circle grids take the
     pointwise max over the per-circle distances.
-    A periodic shape of period p gives phi0 = (p/pi) sin(pi x/p) sin(pi y/p):
-    1-Lipschitz, |phi0| <= p/pi, signed-distance-like only near phi0 = 0.
+    The periodic shape gives phi0 = (p/pi) sin(pi x/p) sin(pi y/p) with
+    p = PERIOD: 1-Lipschitz, |phi0| <= p/pi, signed-distance-like only near
+    phi0 = 0.
     """
     shape.validate(width, height)
     if shape.kind == "periodic":
-        p = shape.period
+        p = PERIOD
         wave = np.sin(np.arange(max(width, height), dtype=np.float64) * (math.pi / p))
         return ScalarField(np.multiply.outer(wave[:height] * (p / math.pi), wave[:width]))
     x, y = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))

@@ -9,10 +9,7 @@ purpose, after a change that is meant to alter results:
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -77,24 +74,6 @@ def test_evolve_matches_golden(model, golden):
     for key in ("phi_final", "trace"):
         np.testing.assert_allclose(got[key], want[key], rtol=RTOL, atol=ATOL,
                                    equal_nan=True, err_msg=key)
-
-
-def test_geodesic_matches_golden_after_a_scipy_free_import():
-    # grid imports scipy.ndimage inside gaussian_smooth, the geodesic flow's
-    # pre-smoothing, so importing the solver leaves scipy out; a geodesic
-    # run that then imports it must still match the golden
-    here = pathlib.Path(__file__).parent
-    test_id = f"{here / 'test_golden.py'}::test_evolve_matches_golden[geodesic]"
-    code = ("import sys, levelseg.solver\n"
-            "assert 'scipy' not in sys.modules, 'levelseg.solver imported scipy'\n"
-            "import pytest\n"
-            f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {test_id!r}]))\n")
-    path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=300)
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert "1 passed" in out.stdout
 
 
 if __name__ == "__main__":

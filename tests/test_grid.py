@@ -2,11 +2,15 @@
 regularized Heaviside/delta pair against closed forms and quadrature."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from levelseg import grid
 from levelseg.grid import (
     CURVATURE_ETA,
     ScalarField,
@@ -424,6 +428,23 @@ class TestGaussianSmooth:
         raw = gradient_magnitude(step).max()
         smoothed = gradient_magnitude(gaussian_smooth(ScalarField(step)).data).max()
         assert smoothed < raw
+
+    def test_solver_import_leaves_scipy_out(self):
+        # grid imports scipy.ndimage inside gaussian_smooth, its only user,
+        # so a region-model process never loads it; the first call then does
+        f = np.random.default_rng(3).random((9, 12))
+        probe = ("import sys\n"
+                 "import numpy as np\n"
+                 "import levelseg.solver\n"
+                 "from levelseg.grid import ScalarField, gaussian_smooth\n"
+                 "assert 'scipy' not in sys.modules, 'levelseg.solver imported scipy'\n"
+                 "f = np.random.default_rng(3).random((9, 12))\n"
+                 "print(gaussian_smooth(ScalarField(f)).data.tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(grid.__file__))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == gaussian_smooth(ScalarField(f)).data.tobytes().hex()
 
 
 # The parent formulas of the elementwise kernels, before they could write

@@ -5,6 +5,7 @@ import pytest
 
 from levelseg.grid import ScalarField, Scratch, gradient_magnitude
 from levelseg.levelset import (
+    PERIOD,
     Contour,
     InitShape,
     contour_csv,
@@ -70,22 +71,18 @@ class TestSignedDistance:
 
     def test_default_seed_grid(self):
         shape = default_seed_grid(128, 128)
-        assert shape.kind == "periodic"
-        assert shape.period == 5.0
+        assert shape == InitShape.periodic()
         signed_distance(shape, 128, 128)  # needs no margin
 
     @pytest.mark.parametrize("width, height", [(64, 64), (100, 100), (64, 200), (300, 90)])
     def test_default_seed_grid_fits_small_grids(self, width, height):
         shape = default_seed_grid(width, height)
-        assert shape.period > 0
+        assert shape.kind == "periodic"
         assert signed_distance(shape, width, height).data.shape == (height, width)
 
     def test_default_seed_grid_too_small(self):
-        # the periodic default has no size floor; only its period is checked
+        # the periodic default has no size floor
         signed_distance(default_seed_grid(24, 24), 24, 24)
-        for period in (0.0, -5.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                signed_distance(InitShape.periodic(period), 24, 24)
 
 
 class TestPeriodicInit:
@@ -94,11 +91,10 @@ class TestPeriodicInit:
     SIZES = pytest.mark.parametrize("width, height", [(3, 3), (24, 24), (300, 90)])
 
     @SIZES
-    @pytest.mark.parametrize("period", [5.0, 7.5])
-    def test_bounded_by_period_over_pi(self, width, height, period):
-        phi = signed_distance(InitShape.periodic(period), width, height).data
+    def test_bounded_by_period_over_pi(self, width, height):
+        phi = signed_distance(default_seed_grid(width, height), width, height).data
         assert phi.shape == (height, width)
-        assert np.all(np.abs(phi) <= period / np.pi)
+        assert np.all(np.abs(phi) <= PERIOD / np.pi)
 
     @SIZES
     def test_one_lipschitz(self, width, height):

@@ -35,7 +35,7 @@ from levelseg.grid import (
     magnitude,
     split_rows,
 )
-from levelseg.levelset import InitShape, default_seed_grid, reinitialize, signed_distance
+from levelseg.levelset import InitShape, reinitialize, signed_distance
 from levelseg.models import (
     EvolveParams,
     energy_geodesic,
@@ -62,10 +62,13 @@ def use_slabs(monkeypatch, count):
 
 def fields(height, width, spacing):
     """(u0 in [0, 1], phi) on an uneven grid: a smoothed noisy image and the
-    default initial level set with a ripple and pixels on the zero level."""
+    signed distance of 4 x 4 circles, whose |phi| reaches 30-50 px (long
+    reinitialization fronts, saturated Heaviside tails), with a ripple and
+    pixels on the zero level."""
     rng = np.random.default_rng(height * 1000 + width)
     u = np.clip(ndi.uniform_filter(rng.random((height, width)), 5) * 1.6 - 0.3, 0.0, 1.0)
-    phi = signed_distance(default_seed_grid(width, height), width, height).data * spacing
+    circles = InitShape.circle_grid(4, 4, min(width, height) / 10, width, height)
+    phi = signed_distance(circles, width, height).data * spacing
     phi += 0.3 * np.sin(np.arange(width) * 0.37)[None, :] * np.cos(np.arange(height) * 0.21)[:, None]
     phi[rng.random(phi.shape) < 0.01] = 0.0
     return ScalarField(u, spacing), ScalarField(phi, spacing)
