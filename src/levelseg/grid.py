@@ -12,17 +12,19 @@ which the caller checks for. ScalarField validates at the API of models,
 levelset and solver, which pass its data and spacing down.
 
 On a field of at least 2^18 pixels, the row-local passes run on row slabs,
-one per usable CPU (at most four): in split_rows, the calling thread and
-the module's worker threads, which start on the first split, claim the
-slabs one at a time. Each slab writes only its own rows of an output or of
-the Scratch set, so every result has the bits of the one-slab pass. A pass
-that reads rows a neighbouring slab writes in the same pass is split in
-two at that point (a join), or recomputes the row it needs, as
-curvature and levelset.reinitialize do. Sums and dot products stay
-whole-array passes: a split would change their summation order. A slab
-runs in a copy of the caller's context, so that the np.errstate the caller
-set holds on the workers too. Slab bodies are private functions that
-allocate no field-sized array and call no public kernel of this package.
+one per usable CPU (at most four): split_rows puts a pass's slabs on a
+queue, from which the calling thread and the module's worker threads take
+them one at a time. The workers, which start on the first split that needs
+them, serve one task queue that each split feeds. Each slab writes only
+its own rows of an output or of the Scratch set, so every result has the
+bits of the one-slab pass. A pass that reads rows a neighbouring slab
+writes in the same pass is split in two at that point (a join), or
+recomputes the row it needs, as curvature and levelset.reinitialize do.
+Sums and dot products stay whole-array passes: a split would change their
+summation order. A slab runs in a copy of the caller's context, so that
+the np.errstate the caller set holds on the workers too. Slab bodies are
+private functions that allocate no field-sized array and call no public
+kernel of this package.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import contextvars
 import functools
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -61,119 +64,75 @@ def _slab_count(rows: int, pixels: int) -> int:
     return max(1, min(_cpu_count(), _MAX_SLABS, rows))
 
 
-class _Split:
-    """One call of split_rows: its slabs, which the calling thread and the
-    workers it hired claim one at a time, and what each slab raised. A
-    worker that wakes late finds the slabs claimed, so a slow worker costs
-    the caller the slab it has started, not the ones it has not."""
-
-    def __init__(self, body, slabs):
-        self._body, self._slabs = body, slabs
-        self._claimed, self._unfinished = 0, len(slabs)
-        self._lock = threading.Lock()
-        self.finished = threading.Lock()  # held until every slab has run
-        self.finished.acquire()
-        self.errors = [None] * len(slabs)
-
-    def work(self):
-        """Run unclaimed slabs until none is left."""
-        while True:
-            with self._lock:
-                index = self._claimed
-                if index == len(self._slabs):
-                    return
-                self._claimed += 1
-            try:
-                self._body(*self._slabs[index])
-            except BaseException as error:  # split_rows raises it
-                self.errors[index] = error
-            with self._lock:
-                self._unfinished -= 1
-                if not self._unfinished:
-                    self.finished.release()
-
-
-class _Worker:
-    """A thread that runs the slabs of one split at a time, then puts
-    itself back on the idle list. A lock hands it each split, so it is
-    never handed a second one before it has taken the first."""
-
-    def __init__(self):
-        self._go = threading.Lock()
-        self._go.acquire()
-        self._task = None
-        threading.Thread(target=self._serve, name="levelseg-slab", daemon=True).start()
-
-    def start(self, split: _Split) -> None:
-        self._task = (contextvars.copy_context(), split)
-        self._go.release()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            context, split = self._task
-            self._task = None
-            context.run(split.work)
-            del context, split  # an idle worker keeps nothing of the last split
-            _idle.append(self)
-
-
 def _no_workers():
-    # the idle workers that split_rows may hire; none until the first
-    # split. list.append and list.pop are atomic, so the list needs no lock
-    global _idle, _started, _start_lock
-    _idle, _started, _start_lock = [], 0, threading.Lock()
+    # the task queue the worker threads serve, and how many have started:
+    # none until the first split. A forked child has none of its parent's
+    # threads, and a start lock that another thread held at the fork would
+    # never be released there, so the child starts afresh
+    global _tasks, _started, _start_lock
+    _tasks, _started, _start_lock = queue.SimpleQueue(), 0, threading.Lock()
 
 
 _no_workers()
 if hasattr(os, "register_at_fork"):
-    # a forked child has none of the parent's threads
     os.register_at_fork(after_in_child=_no_workers)
 
 
-def _idle_worker() -> _Worker | None:
-    # an idle worker, a new one while there are fewer than _MAX_SLABS - 1,
-    # or None when all of them are busy, in concurrent splits or still
-    # finishing a split whose slabs the caller ran
-    global _started
-    try:
-        return _idle.pop()
-    except IndexError:
-        with _start_lock:
-            if _started == _MAX_SLABS - 1:
-                return None
-            _started += 1
-        return _Worker()
+def _serve(tasks):
+    while True:
+        context, task = tasks.get()
+        context.run(task)
+        del context, task  # an idle worker keeps nothing of the last split
 
 
 def split_rows(body: Callable[[int, int], None], rows: int, pixels: int) -> None:
     """Run body(lo, hi) over row slabs [lo, hi) that partition range(rows)
     of a field of ``pixels`` values: one slab under 2^18 pixels, else one
-    per usable CPU, at most four. The calling thread and up to one idle
-    worker thread per further slab claim the slabs one at a time, so the
-    caller runs every slab that no worker has started; a worker runs its
-    slabs in a copy of the caller's contextvars context, where np.errstate
-    lives. It returns only once every slab has finished, also when one
-    raises, and then re-raises the error of the first slab that raised.
-    With one slab, body(0, rows) is the whole call. A body must write only
-    its own rows, allocate no field-sized array, and never call split_rows.
+    per usable CPU, at most four. The calling thread and one worker thread
+    per further slab take the slabs from a queue one at a time, so the
+    caller runs every slab that no worker has taken, and a worker that
+    wakes late costs nothing; a worker runs in a copy of the caller's
+    contextvars context, where np.errstate lives. It returns only once
+    every slab has finished, also when one raises, and then re-raises the
+    error of the first slab that raised. With one slab, body(0, rows) is
+    the whole call. A body must write only its own rows, allocate no
+    field-sized array, and never call split_rows.
     """
+    global _started
     n = _slab_count(rows, pixels)
     if n == 1:
         body(0, rows)
         return
+    slabs, done = queue.SimpleQueue(), queue.SimpleQueue()
     cuts = [rows * k // n for k in range(n + 1)]
-    split = _Split(body, list(zip(cuts[:-1], cuts[1:])))
+    for slab in zip(cuts[:-1], cuts[1:]):
+        slabs.put(slab)
+
+    def take():
+        while True:
+            try:
+                lo, hi = slabs.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                body(lo, hi)
+                done.put((lo, None))
+            except BaseException as error:  # split_rows raises it
+                done.put((lo, error))
+
+    if _started < n - 1:
+        with _start_lock:
+            while _started < n - 1:
+                threading.Thread(target=_serve, args=(_tasks,), name="levelseg-slab",
+                                 daemon=True).start()
+                _started += 1
     for _ in range(n - 1):
-        worker = _idle_worker()
-        if worker is None:
-            break
-        worker.start(split)
-    split.work()
-    split.finished.acquire()
-    for error in split.errors:
-        if error is not None:
-            raise error
+        _tasks.put((contextvars.copy_context(), take))
+    take()
+    errors = dict(done.get() for _ in range(n))
+    for lo in cuts[:-1]:
+        if errors[lo] is not None:
+            raise errors[lo]
 
 
 def rowwise(body: Callable, out: np.ndarray, *args) -> np.ndarray:
@@ -217,8 +176,8 @@ class ScalarField:
             )
         if not _all_finite(arr):
             raise ValueError("field contains NaN or Inf values")
-        if not (self.spacing > 0):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not (0 < self.spacing < math.inf):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -425,8 +384,9 @@ class Scratch:
     Apart from that:
 
     - levelset.reinitialize uses all five arrays;
-    - region_rhs takes array 2 for delta_eps and, to build a data term with
-      a lambda other than 1, array 0, once curvature has returned;
+    - region_rhs takes array 2 for delta_eps and, once curvature has
+      returned, array 0 through data_term, which builds a term with a
+      lambda other than 1 there;
     - weighted_averages writes H_eps into array 0 and 1 - H_eps into array 1,
       and returns array 0 as H, which energy_region reads and leaves as is;
     - geodesic_flow_rhs builds g, grad g, grad phi and |grad phi| in arrays
@@ -469,14 +429,13 @@ class Scratch:
             self._image = (u, *image_stats(u))
         return self._image[1:]
 
-    def data_term(self, which: int, u: np.ndarray, c: float, lam: float = 1.0, *,
-                  work: np.ndarray | None = None) -> np.ndarray:
+    def data_term(self, which: int, u: np.ndarray, c: float, lam: float = 1.0) -> np.ndarray:
         """lam * (u - c)^2 in data-term array ``which`` (0 or 1), rebuilt
         only when u, c or lam differ from that array's last call; do not
         write into it. Built as (u - c) * ((u - c) * lam), which is
         bitwise ((u - c) * lam) * (u - c), and (u - c)^2 when lam is 1. A
-        lam other than 1 takes (u - c) * lam in ``work``, an (h, w) array
-        it overwrites (a new one when None).
+        lam other than 1 takes (u - c) * lam in array 0 of the set, which
+        it overwrites.
         """
         entry = self._terms[which]
         if entry is not None:
@@ -484,9 +443,7 @@ class Scratch:
             if image is u and c_was == c and lam_was == lam:
                 return term
         term = np.empty(self.shape) if entry is None else entry[1]
-        if lam != 1.0 and work is None:
-            work = np.empty(self.shape)
-        rowwise(_data_term_rows, term, u, c, lam, work)
+        rowwise(_data_term_rows, term, u, c, lam, self.arrays[0])
         self._terms[which] = ((u, c, lam), term)
         return term
 
@@ -511,16 +468,17 @@ def _rows_of(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer[:h * (w + 2)].reshape(h, w + 2)[:, 1:-1]
 
 
-def curvature(phi: np.ndarray, spacing: float = 1.0, eta: float = CURVATURE_ETA, *,
+def curvature(phi: np.ndarray, spacing: float = 1.0, *,
               scratch: Scratch | None = None) -> np.ndarray:
     """Mean curvature of the level sets, div(grad(phi)/|grad(phi)|), via the
     second-order stencil
 
         k = (pxx*py^2 - 2*px*py*pxy + pyy*px^2) / (px^2 + py^2 + eta)^(3/2)
 
-    with edge-replicated borders. Output is clamped to +-1/spacing, which is
-    the finest curvature the grid can represent, so that explicit stepping
-    stays stable where the gradient nearly vanishes.
+    with eta = CURVATURE_ETA and edge-replicated borders. Output is clamped
+    to +-1/spacing, which is the finest curvature the grid can represent,
+    so that explicit stepping stays stable where the gradient nearly
+    vanishes.
 
     It is computed in ``scratch`` (a fresh set when None) and returned in a
     new array, the only one it allocates. The power 3/2 is taken as
@@ -541,17 +499,15 @@ def curvature(phi: np.ndarray, spacing: float = 1.0, eta: float = CURVATURE_ETA,
     overwrites them; and the rest, whose rows of the result lie over pxy
     of the slabs before.
     """
-    if not (eta > 0):
-        raise ValueError(f"eta must be positive, got {eta}")
     s = Scratch.ensure(scratch, phi.shape)
     rows, width = phi.shape
     run = np.empty(rows * (width + 2))
     for body in (_pad_rows, _difference_rows, _cross_rows, _curvature_rows):
-        split_rows(functools.partial(body, phi, spacing, eta, s, run), rows, phi.size)
+        split_rows(functools.partial(body, phi, spacing, s, run), rows, phi.size)
     return run[:phi.size].reshape(phi.shape)
 
 
-def _pad_rows(phi, h, eta, s, run, lo, hi):
+def _pad_rows(phi, h, s, run, lo, hi):
     # edge-replicated border, as np.pad(phi, 1, mode="edge"): padded rows
     # lo + 1 .. hi, and the border row next to the slab's first or last row
     p = s.padded
@@ -576,7 +532,7 @@ def _stencil_runs(phi, s, run, lo, hi):
     return first, stop, [b[1 + first:1 + stop] for b in (*s.buffers[:4], run)]
 
 
-def _difference_rows(phi, h, eta, s, run, lo, hi):
+def _difference_rows(phi, h, s, run, lo, hi):
     row = phi.shape[1] + 2
     first, stop, (px, py, pxx, pyy, pxy) = _stencil_runs(phi, s, run, lo, hi)
     flat = s.padded.reshape(-1)
@@ -604,7 +560,7 @@ def _difference_rows(phi, h, eta, s, run, lo, hi):
     divide_by(pxy, 4.0 * h * h)
 
 
-def _cross_rows(phi, h, eta, s, run, lo, hi):
+def _cross_rows(phi, h, s, run, lo, hi):
     # the differences are taken, so the padded buffer takes the cross term
     first, stop, (px, py, _, _, pxy) = _stencil_runs(phi, s, run, lo, hi)
     cross = s.padded.reshape(-1)[1 + first:1 + stop]
@@ -613,7 +569,7 @@ def _cross_rows(phi, h, eta, s, run, lo, hi):
     cross *= pxy
 
 
-def _curvature_rows(phi, h, eta, s, run, lo, hi):
+def _curvature_rows(phi, h, s, run, lo, hi):
     first, stop, (px, py, pxx, pyy, _) = _stencil_runs(phi, s, run, lo, hi)
     flat = s.padded.reshape(-1)
     cross = flat[1 + first:1 + stop]
@@ -628,7 +584,7 @@ def _curvature_rows(phi, h, eta, s, run, lo, hi):
     np.multiply(px, px, out=pyy)
     np.multiply(py, py, out=cross)
     pyy += cross
-    pyy += eta
+    pyy += CURVATURE_ETA
     np.sqrt(pyy, out=cross)
     cross *= pyy
     k = run[:phi.size].reshape(phi.shape)[lo:hi]

@@ -12,6 +12,7 @@ scale-agnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -64,6 +65,9 @@ class EvolveParams:
     reinit_sweeps: int = 10
 
     def validate(self) -> None:
+        for name in ("mu", "nu", "lam", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu < 0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
         if not (self.lam > 0):
@@ -76,7 +80,7 @@ class EvolveParams:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.stop_tol < 0:
+        if not (self.stop_tol >= 0):  # NaN fails; inf makes every iteration still
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
         if self.reinit_every < 0:
             raise ValueError(f"reinit_every must be >= 0, got {self.reinit_every}")
@@ -200,8 +204,8 @@ def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
     The terms are summed in that order into the new array that curvature
     returns, with ``scratch`` (a fresh set when None) as work space: its
     data_term arrays for the two data terms, which a reused set builds only
-    when their constant changes, array 0 to build a term with lam other
-    than 1, and array 2 for delta_eps. The result is not validated, so a phi
+    when their constant changes (a term with lam other than 1 in array 0),
+    and array 2 for delta_eps. The result is not validated, so a phi
     that overflows the curvature stencil gives NaN or Inf here rather than
     an exception.
     """
@@ -209,7 +213,7 @@ def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
     scratch = Scratch.ensure(scratch, u.shape)
     rhs = curvature(phi.data, phi.spacing, scratch=scratch)
     delta = delta_eps(phi.data, params.eps, out=scratch.arrays[2])
-    inside = scratch.data_term(0, u, inside_target, lam, work=scratch.arrays[0])
+    inside = scratch.data_term(0, u, inside_target, lam)
     outside = scratch.data_term(1, u, outside_const)
     return rowwise(_region_sum_rows, rhs, params.mu, params.nu, inside, outside, delta)
 

@@ -55,8 +55,9 @@ class TestScalarField:
             ScalarField(bad)
 
     def test_rejects_bad_spacing(self):
-        with pytest.raises(ValueError):
-            ScalarField(np.zeros((4, 4)), spacing=0.0)
+        for spacing in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ScalarField(np.zeros((4, 4)), spacing=spacing)
 
     def test_shape_accessors(self):
         f = ScalarField(np.zeros((4, 7)))
@@ -189,10 +190,6 @@ class TestCurvature:
         rng = np.random.default_rng(4)
         k = curvature(rng.normal(size=(20, 20)), spacing=0.5)
         assert np.abs(k).max() <= 2.0 + 1e-12
-
-    def test_rejects_nonpositive_eta(self):
-        with pytest.raises(ValueError):
-            curvature(np.zeros((4, 4)), eta=0.0)
 
     @pytest.mark.parametrize("height, width, spacing", [
         (3, 3, 1.0), (7, 11, 0.37), (64, 200, 2.5),

@@ -57,6 +57,16 @@ class TestEvolveParams:
             {"max_iters": -1},
             {"stop_tol": -1e-3},
             {"reinit_every": -1},
+            {"mu": float("nan")},
+            {"mu": float("inf")},
+            {"nu": float("nan")},
+            {"nu": float("inf")},
+            {"nu": -float("inf")},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"stop_tol": float("nan")},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -614,8 +624,7 @@ class TestRunMemo:
         assert scratch.data_term(1, u0.data, 0.25) is a
         assert a.tobytes() == ((u0.data - 0.25) ** 2).tobytes()
         # lam 1.5: ((u - c) * lam) * (u - c), in the order of the formula
-        work = np.empty(u0.data.shape)
-        b = scratch.data_term(0, u0.data, 0.25, 1.5, work=work)
+        b = scratch.data_term(0, u0.data, 0.25, 1.5)
         dev = u0.data - 0.25
         assert b.tobytes() == ((dev * 1.5) * dev).tobytes()
         assert b is not a and scratch.data_term(1, u0.data, 0.25) is a

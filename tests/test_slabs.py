@@ -277,6 +277,51 @@ class TestSplitRows:
             child.kill()
         assert not alive and child.exitcode == 0
 
+    def test_concurrent_splits_run_every_slab_once(self, monkeypatch):
+        # the callers share the workers and their task queue; each split's
+        # slabs must still run once each, and each call return
+        use_slabs(monkeypatch, 3)
+        ran = []
+
+        def caller(name):
+            for call in range(300):
+                split_rows(lambda lo, hi: ran.append((name, call, lo)), 9, 81)
+
+        callers = [threading.Thread(target=caller, args=(name,)) for name in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to find a lost slab
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert sorted(ran) == [(name, call, lo) for name in range(4)
+                               for call in range(300) for lo in (0, 3, 6)]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_a_split_of_n_slabs_starts_n_minus_1_workers(self, count):
+        # in a fresh process, since the workers live as long as the process
+        probe = ("import sys, threading\n"
+                 "from levelseg import grid\n"
+                 "sys.setswitchinterval(1e-6)\n"
+                 f"grid._SLAB_FLOOR, grid._cpu_count = 0, lambda: {count}\n"
+                 "def caller():\n"
+                 "    for _ in range(200):\n"
+                 "        grid.split_rows(lambda lo, hi: None, 9, 81)\n"
+                 "callers = [threading.Thread(target=caller) for _ in range(4)]\n"
+                 "for thread in callers:\n"
+                 "    thread.start()\n"
+                 "for thread in callers:\n"
+                 "    thread.join()\n"
+                 "print(sum(t.name == 'levelseg-slab' for t in threading.enumerate()))\n")
+        src = os.path.dirname(os.path.dirname(grid.__file__))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == [str(count - 1)], out.stderr
+
 
 def slab_threads(body, rows=9):
     """split_rows(body) over ``rows`` rows, each slab slow enough that a
