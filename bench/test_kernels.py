@@ -39,6 +39,7 @@ from levelseg.models import (
     geodesic_flow_rhs,
     region_averages,
     region_rhs,
+    region_terms,
     weighted_averages,
 )
 from levelseg.solver import _interface_motion
@@ -77,7 +78,7 @@ def test_gradient(benchmark, fields):
 
 
 # the geodesic model takes |grad| of the noisy image as well as of phi;
-# np.hypot is much slower on the image's gradients than on the seed circles'
+# np.hypot runs on neither, only where a result is not finite
 @pytest.mark.parametrize("of", ["image", "phi"])
 def test_gradient_magnitude(benchmark, fields, of):
     f = fields[of == "phi"]
@@ -102,16 +103,17 @@ def test_energy_region(benchmark, fields, scratch):
               params, H=H, scratch=work)
 
 
-# the modified model's step as evolve takes it: a reused set has its data
-# terms from the energy at the same constants, a fresh one builds them
+# a region model's step as evolve takes it: a reused set has its data
+# terms from the energy at the same constants, a fresh one builds them;
+# chan_vese at lam 1.5 also weights the inside term in the sum
 @SCRATCH
-def test_region_rhs(benchmark, fields, scratch):
+@pytest.mark.parametrize("model, lam", [("modified", 1.0), ("chan_vese", 1.5)])
+def test_region_rhs(benchmark, fields, scratch, model, lam):
     u0, phi = fields
     work = work_set(scratch, phi)
-    params = EvolveParams(mu=0.2)
-    stats = region_averages(u0, phi)
-    benchmark(region_rhs, u0, phi, params.alpha * stats.max_intensity, stats.c2, 1.0,
-              params, scratch=work)
+    params = EvolveParams(mu=0.2, lam=lam)
+    terms = region_terms(model, region_averages(u0, phi), params)
+    benchmark(region_rhs, u0, phi, *terms, params, scratch=work)
 
 
 @SCRATCH

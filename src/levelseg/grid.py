@@ -23,8 +23,8 @@ recomputes the row it needs, as curvature and levelset.reinitialize do.
 Sums and dot products stay whole-array passes: a split would change their
 summation order. A slab runs in a copy of the caller's context, so that
 the np.errstate the caller set holds on the workers too. Slab bodies are
-private functions that allocate no field-sized array and call no public
-kernel of this package.
+private functions that allocate no field-sized array (magnitude's does
+where a result overflows) and call no public kernel of this package.
 """
 
 from __future__ import annotations
@@ -212,42 +212,33 @@ class Gradient(NamedTuple):
     dy: np.ndarray
 
 
-# Below this, the squares of both components and their sum stay finite.
-_SQUARE_SAFE = 1e153
-
-
 def magnitude(dx: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
               dy_squared: np.ndarray | None = None) -> np.ndarray:
     """sqrt(dx^2 + dy^2) as a raw array: ``out``, with dy^2 in
     ``dy_squared`` (new arrays when None; ``dy_squared`` may be dy itself).
     Within 1 ulp of np.hypot, which is 2-3x slower on an image's gradients,
     except below 1e-154, where the squares underflow. np.hypot takes over
-    when a component reaches 1e153, where a square could overflow; it reads
-    dx and dy as given. That test is one for the whole array: each slab
-    finds its own peak, and the largest decides.
+    at each pixel whose result is not finite: where a square or the sum
+    overflowed, or a component is NaN or Inf. The rule is per pixel, so
+    every slab count gives the same bits. When dy_squared is dy, the
+    squares have overwritten dy by then, so np.hypot takes |dy| as
+    sqrt(dy^2): the same bits wherever dy^2 is finite, and Inf where it
+    overflowed.
     """
     out = np.empty_like(dx) if out is None else out
-    peaks = []
-
-    def peak(lo, hi):
-        x, y = dx[lo:hi], dy[lo:hi]
-        peaks.append(np.max([x.max(initial=0.0), -x.min(initial=0.0),
-                             y.max(initial=0.0), -y.min(initial=0.0)]))
-
-    split_rows(peak, len(dx), dx.size)
-    squares = np.max(peaks) < _SQUARE_SAFE  # False for a NaN peak
-    if squares and dy_squared is None:
-        dy_squared = np.empty_like(dy)
-    return rowwise(_magnitude_rows, out, dx, dy, dy_squared, squares)
+    dy_squared = np.empty_like(dy) if dy_squared is None else dy_squared
+    return rowwise(_magnitude_rows, out, dx, dy, dy_squared)
 
 
-def _magnitude_rows(m, dx, dy, dy_squared, squares):
-    if not squares:
-        np.hypot(dx, dy, out=m)
-        return
-    np.multiply(dx, dx, out=m)
-    m += np.multiply(dy, dy, out=dy_squared)
+def _magnitude_rows(m, dx, dy, dy_squared):
+    with np.errstate(over="ignore"):
+        np.multiply(dx, dx, out=m)
+        m += np.multiply(dy, dy, out=dy_squared)
     np.sqrt(m, out=m)
+    if not np.isfinite(m.max(initial=0.0)):  # a NaN anywhere makes the max NaN
+        bad = ~np.isfinite(m)
+        y = np.sqrt(dy_squared[bad]) if np.shares_memory(dy, dy_squared) else dy[bad]
+        m[bad] = np.hypot(dx[bad], y)
 
 
 def _exact_reciprocal(d: float) -> float | None:
@@ -328,10 +319,11 @@ def gradient_magnitude(f: np.ndarray, spacing: float = 1.0, *,
                        out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                        ) -> np.ndarray:
     """Per-pixel magnitude of gradient(f, spacing) as a raw array, not
-    validated: Inf where the gradient overflows. With ``out`` = (dx, dy,
-    magnitude), the gradient is written into the first two, with dy^2 in
-    the second at the end, and the magnitude into the third; new arrays
-    when None.
+    validated: Inf where the gradient overflows, and also where |dy|
+    passes about 1.3e154, since dy^2 takes dy's array (see magnitude).
+    With ``out`` = (dx, dy, magnitude), the gradient is written into the
+    first two, with dy^2 in the second at the end, and the magnitude into
+    the third; new arrays when None.
     """
     grad_out, m = (None, None) if out is None else (out[:2], out[2])
     g = gradient(f, spacing, out=grad_out)
@@ -385,8 +377,7 @@ class Scratch:
 
     - levelset.reinitialize uses all five arrays;
     - region_rhs takes array 2 for delta_eps and, once curvature has
-      returned, array 0 through data_term, which builds a term with a
-      lambda other than 1 there;
+      returned, array 0 for lam * (u - c)^2 when lam is not 1;
     - weighted_averages writes H_eps into array 0 and 1 - H_eps into array 1,
       and returns array 0 as H, which energy_region reads and leaves as is;
     - geodesic_flow_rhs builds g, grad g, grad phi and |grad phi| in arrays
@@ -397,10 +388,10 @@ class Scratch:
     Apart from that H, no kernel returns one of these arrays.
 
     The set also keeps what depends only on the image: the mean and max of
-    the image (image_stats) and two data-term arrays lam * (u - c)^2
+    the image (image_stats) and two data-term arrays (u - c)^2
     (data_term), made on first use, so only region runs have them. Each is
-    keyed on the image array object, and the terms on c and lam as well,
-    and is rebuilt only when its key changes. The contract: a set serves
+    keyed on the image array object, and the terms on c as well, and is
+    rebuilt only when its key changes. The contract: a set serves
     one run, and the image is not changed in place while it does.
     """
 
@@ -412,7 +403,7 @@ class Scratch:
         self.buffers = (*(np.empty(run) for _ in range(4)), self.padded.reshape(-1)[:run])
         self.arrays = tuple(b[:h * w].reshape(h, w) for b in self.buffers)
         self._image = None  # (image, mean, max)
-        self._terms = [None, None]  # ((image, c, lam), array) per data term
+        self._terms = [None, None]  # ((image, c), array) per data term
 
     @classmethod
     def ensure(cls, scratch: "Scratch | None", shape: tuple) -> "Scratch":
@@ -429,31 +420,25 @@ class Scratch:
             self._image = (u, *image_stats(u))
         return self._image[1:]
 
-    def data_term(self, which: int, u: np.ndarray, c: float, lam: float = 1.0) -> np.ndarray:
-        """lam * (u - c)^2 in data-term array ``which`` (0 or 1), rebuilt
-        only when u, c or lam differ from that array's last call; do not
-        write into it. Built as (u - c) * ((u - c) * lam), which is
-        bitwise ((u - c) * lam) * (u - c), and (u - c)^2 when lam is 1. A
-        lam other than 1 takes (u - c) * lam in array 0 of the set, which
-        it overwrites.
+    def data_term(self, which: int, u: np.ndarray, c: float) -> np.ndarray:
+        """(u - c)^2 in data-term array ``which`` (0 or 1), rebuilt only
+        when u or c differ from that array's last call; do not write into
+        it.
         """
         entry = self._terms[which]
         if entry is not None:
-            (image, c_was, lam_was), term = entry
-            if image is u and c_was == c and lam_was == lam:
+            (image, c_was), term = entry
+            if image is u and c_was == c:
                 return term
         term = np.empty(self.shape) if entry is None else entry[1]
-        rowwise(_data_term_rows, term, u, c, lam, self.arrays[0])
-        self._terms[which] = ((u, c, lam), term)
+        rowwise(_data_term_rows, term, u, c)
+        self._terms[which] = ((u, c), term)
         return term
 
 
-def _data_term_rows(term, u, c, lam, work):
+def _data_term_rows(term, u, c):
     np.subtract(u, c, out=term)
-    if lam == 1.0:
-        term *= term
-    else:
-        term *= np.multiply(term, lam, out=work)
+    term *= term
 
 
 def image_stats(u: np.ndarray) -> tuple[float, float]:

@@ -21,6 +21,7 @@ import numpy as np
 from .grid import (
     ScalarField,
     Scratch,
+    _magnitude_rows,
     curvature,
     delta_eps,
     edge_detector,
@@ -28,7 +29,6 @@ from .grid import (
     gradient_magnitude,
     heaviside_eps,
     image_stats,
-    magnitude,
     rowwise,
 )
 
@@ -203,25 +203,26 @@ def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
 
     The terms are summed in that order into the new array that curvature
     returns, with ``scratch`` (a fresh set when None) as work space: its
-    data_term arrays for the two data terms, which a reused set builds only
-    when their constant changes (a term with lam other than 1 in array 0),
-    and array 2 for delta_eps. The result is not validated, so a phi
-    that overflows the curvature stencil gives NaN or Inf here rather than
-    an exception.
+    data_term arrays for the squares (u0 - c)^2, which a reused set builds
+    only when their constant changes, array 2 for delta_eps, and, when lam
+    is not 1, array 0 for lam * (u0 - inside)^2. The result is not
+    validated, so a phi that overflows the curvature stencil gives NaN or
+    Inf here rather than an exception.
     """
     u = u0.data
     scratch = Scratch.ensure(scratch, u.shape)
     rhs = curvature(phi.data, phi.spacing, scratch=scratch)
     delta = delta_eps(phi.data, params.eps, out=scratch.arrays[2])
-    inside = scratch.data_term(0, u, inside_target, lam)
+    inside = scratch.data_term(0, u, inside_target)
     outside = scratch.data_term(1, u, outside_const)
-    return rowwise(_region_sum_rows, rhs, params.mu, params.nu, inside, outside, delta)
+    return rowwise(_region_sum_rows, rhs, params.mu, params.nu, lam, inside, outside, delta,
+                   scratch.arrays[0])
 
 
-def _region_sum_rows(rhs, mu, nu, inside, outside, delta):
+def _region_sum_rows(rhs, mu, nu, lam, inside, outside, delta, weighted):
     rhs *= mu
     rhs -= nu
-    rhs -= inside
+    rhs -= inside if lam == 1.0 else np.multiply(inside, lam, out=weighted)
     rhs += outside
     rhs *= delta
 
@@ -269,21 +270,18 @@ def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *
     edge_detector(gradient_magnitude(u0.data, u0.spacing, out=(gx, gy, g)), out=g)
     gradient(g, u0.spacing, out=(gx, gy))
     gradient(phi.data, phi.spacing, out=(px, py))
-    # the dot product's terms first, so that g's array and py can take |grad phi|
-    rowwise(_edge_weight_rows, rhs, g, gx, px, gy, py)
-    return rowwise(_flow_sum_rows, rhs, magnitude(px, py, out=g, dy_squared=py), gx, gy)
+    return rowwise(_flow_rows, rhs, g, gx, gy, px, py)
 
 
-def _edge_weight_rows(rhs, g, gx, px, gy, py):
+def _flow_rows(rhs, g, gx, gy, px, py):
     rhs *= g
+    # the dot product's terms first, so that g's array and py can take |grad phi|
     gx *= px
     gy *= py
-
-
-def _flow_sum_rows(rhs, grad_mag, gx_px, gy_py):
-    rhs *= grad_mag
-    rhs += gx_px
-    rhs += gy_py
+    _magnitude_rows(g, px, py, py)
+    rhs *= g
+    rhs += gx
+    rhs += gy
 
 
 def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,

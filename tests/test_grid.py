@@ -143,6 +143,16 @@ class TestGradientMagnitude:
         assert np.all(np.isfinite(m))
         assert np.array_equal(m, np.hypot(dx, dy))
 
+    @pytest.mark.filterwarnings("error")
+    def test_hypot_where_the_sum_overflows_with_dy_squared_in_place(self):
+        # squares finite, sums beyond the largest float: dy then holds dy^2,
+        # and np.hypot takes |dy| back from it exactly
+        dx = np.array([[1e154, -1.3e154, 1.0], [np.inf, 3.0, 1e-160]])
+        dy = np.array([[1.2e154, 1e154, 1e-3], [5.0, 4.0, 1.3e154]])
+        expected = np.hypot(dx, dy)
+        m = magnitude(dx, dy, dy_squared=dy)
+        assert m.tobytes() == expected.tobytes()
+
 
 class TestEdgeDetector:
     @pytest.mark.parametrize("z,expected", [(0.0, 1.0), (1.0, 0.5), (3.0, 0.1)])

@@ -4,6 +4,7 @@ arithmetic, energy identities, and gradient-flow consistency."""
 import numpy as np
 import pytest
 
+from levelseg import grid
 from levelseg.grid import (
     ScalarField,
     Scratch,
@@ -28,6 +29,7 @@ from levelseg.models import (
     region_terms,
     weighted_averages,
 )
+from levelseg.solver import evolve
 
 from helpers import hausdorff
 
@@ -139,18 +141,22 @@ class TestChanVeseRhs:
         u0 = disk_image(inside=1.0, outside=0.0)
         phi = disk_sdf()
         stats = region_averages(u0, phi)
-        params = EvolveParams(mu=0.0, nu=0.0, lam=1.0, eps=1.0)
-        rhs = chan_vese_rhs(u0, phi, stats, params)
-        assert np.abs(rhs.data).max() > 0.01  # genuinely nonzero pointwise
-        # the flow only sharpens the aligned partition: positive on every
-        # inside pixel, negative outside, so no pixel ever changes side
-        inside = phi.data >= 0
-        assert np.all(rhs.data[inside] >= 0)
-        assert np.all(rhs.data[~inside] <= 0)
-        stepped = ScalarField(phi.data + 0.01 * rhs.data)
-        moved = hausdorff(extract_contour(phi).vertices(),
-                          extract_contour(stepped).vertices())
-        assert moved < 0.1
+        for lam in (1.0, 1.5):
+            params = EvolveParams(mu=0.0, nu=0.0, lam=lam, eps=1.0)
+            rhs = chan_vese_rhs(u0, phi, stats, params)
+            expected = delta_eps(phi.data, 1.0) * (-lam * (u0.data - stats.c1) ** 2
+                                                   + (u0.data - stats.c2) ** 2)
+            assert rhs.data == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert np.abs(rhs.data).max() > 0.01  # genuinely nonzero pointwise
+            # the flow only sharpens the aligned partition: positive on every
+            # inside pixel, negative outside, so no pixel ever changes side
+            inside = phi.data >= 0
+            assert np.all(rhs.data[inside] >= 0)
+            assert np.all(rhs.data[~inside] <= 0)
+            stepped = ScalarField(phi.data + 0.01 * rhs.data)
+            moved = hausdorff(extract_contour(phi).vertices(),
+                              extract_contour(stepped).vertices())
+            assert moved < 0.1
 
     def test_euler_step_decreases_energy(self):
         # misaligned start: contour displaced from the disk
@@ -566,9 +572,9 @@ class TestRegionStepInTheWorkSet:
 
 
 class TestRunMemo:
-    """A reused set keeps u0's mean and max and the data terms
-    lam * (u0 - c)^2 keyed on the image, c and lam; whatever it reuses,
-    the kernels must give the bytes of a fresh set."""
+    """A reused set keeps u0's mean and max and the data terms (u0 - c)^2
+    keyed on the image and c; whatever it reuses, the kernels must give
+    the bytes of a fresh set."""
 
     @staticmethod
     def images(shape=(24, 40), spacing=0.5):
@@ -623,12 +629,31 @@ class TestRunMemo:
         a = scratch.data_term(1, u0.data, 0.25)
         assert scratch.data_term(1, u0.data, 0.25) is a
         assert a.tobytes() == ((u0.data - 0.25) ** 2).tobytes()
-        # lam 1.5: ((u - c) * lam) * (u - c), in the order of the formula
-        b = scratch.data_term(0, u0.data, 0.25, 1.5)
-        dev = u0.data - 0.25
-        assert b.tobytes() == ((dev * 1.5) * dev).tobytes()
+        b = scratch.data_term(0, u0.data, 0.5)
+        assert b.tobytes() == ((u0.data - 0.5) ** 2).tobytes()
         assert b is not a and scratch.data_term(1, u0.data, 0.25) is a
         # the two terms live beside the five arrays, not in them
         for term in (a, b):
             assert not any(np.shares_memory(term, buf)
                            for buf in (scratch.padded, *scratch.buffers))
+
+    def test_lambda_builds_no_more_data_terms(self, monkeypatch):
+        # the energy and the rhs ask for the same inside term whatever lam
+        # is, so a step at lam 1.5 builds as many terms as one at lam 1
+        u0 = disk_image(32, 32, 16.0, 16.0, 8.0, inside=1.0, outside=0.0)
+        phi0 = disk_sdf(32, 32, 15.0, 16.0, 6.0)
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return data_term_rows(*args)
+
+        data_term_rows = grid._data_term_rows
+        monkeypatch.setattr(grid, "_data_term_rows", counted)
+        counts = []
+        for lam in (1.0, 1.5):
+            builds.clear()
+            evolve("chan_vese", u0, phi0, EvolveParams(mu=0.2, lam=lam, max_iters=20,
+                                                       stop_tol=0.0))
+            counts.append(len(builds))
+        assert counts == [42, 42]

@@ -132,15 +132,24 @@ class TestSlabsEqualOneSlab:
         use_slabs(monkeypatch, 3)
         assert reinitialize(phi, 12).data.tobytes() == reinitialize_reference(phi, 12).tobytes()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_magnitude_takes_hypot_for_a_peak_in_the_last_slab(self, monkeypatch, count):
-        # the only component at or above 1e153 is in the last row, which is
-        # in the last slab; every slab must then take np.hypot
+        # a component whose square overflows, a NaN and Infs, all in the
+        # last rows, which are in the last slab: np.hypot at those pixels
+        # only, and the squares everywhere else, in every slab
         rng = np.random.default_rng(5)
         dx, dy = rng.normal(size=(2, 513, 520)) * 1e3
-        dy[-1, 7] = -2e153
+        dy[-1, 7] = -2e300
+        dx[-2, 11] = np.nan
+        dy[-3, 13] = np.inf
+        dx[-1, 20], dy[-1, 20] = np.nan, -np.inf  # np.hypot gives Inf here
+        peaks = np.zeros(dx.shape, dtype=bool)
+        peaks[[-1, -2, -3, -1], [7, 11, 13, 20]] = True
+        with np.errstate(over="ignore"):
+            expected = np.where(peaks, np.hypot(dx, dy), np.sqrt(dx * dx + dy * dy))
         use_slabs(monkeypatch, count)
-        assert magnitude(dx, dy).tobytes() == np.hypot(dx, dy).tobytes()
+        assert magnitude(dx, dy).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("row", [0, 300, 512])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
