@@ -9,8 +9,9 @@ Tier-1 does not collect this directory (testpaths is ["tests"]). The
 inputs are a level set of 4 x 4 circles of radius n/10, pinned so that
 the per-kernel timings keep measuring the same field, and a seeded uniform
 image in [0, 1], which the geodesic kernels get pre-smoothed, as evolve
-passes it to them. extract_contour also runs on levelset.default_seed_grid,
-the dense periodic start of the region models.
+passes it to them. extract_contour runs on the circles at 256^2 and 512^2,
+and on levelset.default_seed_grid, the dense periodic start of the region
+models, at 256^2 and at 512^2, the size of the geodesic_512 workload.
 """
 
 import numpy as np
@@ -147,7 +148,8 @@ def test_interface_motion(benchmark, fields):
 
 # the contour evolve traces at the end of every run: of the seed circles,
 # and of the dense periodic start, which a run stopped early returns
-@pytest.mark.parametrize("n, start", [(256, "circles"), (512, "circles"), (256, "periodic")],
+@pytest.mark.parametrize("n, start", [(256, "circles"), (512, "circles"), (256, "periodic"),
+                                      (512, "periodic")],
                          ids=lambda v: f"{v}px" if isinstance(v, int) else v)
 def test_extract_contour(benchmark, n, start):
     shape = (InitShape.circle_grid(4, 4, n / 10, n, n) if start == "circles"

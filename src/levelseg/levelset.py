@@ -234,9 +234,10 @@ def _slope_rows(d, h, arrays, negative, zero, lo, hi):
 @dataclass
 class Contour:
     """Zero-level polylines: each loop is an (n, 2) float array of (x, y)
-    subpixel vertices. Loops traced fully inside the grid are closed
-    (last vertex connects back to the first); chains that hit the image
-    border are left open.
+    subpixel vertices, n >= 2. Every edge crossing of phi is a vertex of
+    exactly one loop. Loops traced fully inside the grid are closed (last
+    vertex connects back to the first); chains that hit the image border
+    are left open.
     """
 
     loops: list = field(default_factory=list)
@@ -256,18 +257,15 @@ class Contour:
         return np.vstack(self.loops)
 
 
-# marching-squares lookup: cell corners a=(x,y) b=(x+1,y) c=(x+1,y+1)
-# d=(x,y+1); bit set when corner is inside (phi >= 0); edges are
-# 0: a-b (top), 1: b-c (right), 2: d-c (bottom), 3: a-d (left).
-_SEGMENTS = {
-    0: [], 15: [],
-    1: [(3, 0)], 14: [(3, 0)],
-    2: [(0, 1)], 13: [(0, 1)],
-    4: [(1, 2)], 11: [(1, 2)],
-    8: [(2, 3)], 7: [(2, 3)],
-    3: [(3, 1)], 12: [(3, 1)],
-    6: [(0, 2)], 9: [(0, 2)],
-}
+# marching-squares lookup: cell corners a=(x,y) b=(x+1,y) c=(x+1,y+1) d=(x,y+1);
+# bit set when corner is inside (phi >= 0); edge slots 0: a-b (top), 1: b-c (right),
+# 2: d-c (bottom), 3: a-d (left). Row `code` holds a cell's segments as slot pairs,
+# padded with -1; rows 16 and 17 are the saddles 5 and 10 whose centre is inside.
+_SEGMENTS = np.full((18, 2, 2), -1)
+for _codes, _pairs in (((1, 14), [(3, 0)]), ((2, 13), [(0, 1)]), ((4, 11), [(1, 2)]),
+                       ((8, 7), [(2, 3)]), ((3, 12), [(3, 1)]), ((6, 9), [(0, 2)]),
+                       ((5, 17), [(3, 0), (1, 2)]), ((10, 16), [(0, 1), (2, 3)])):
+    _SEGMENTS[_codes, :len(_pairs)] = _pairs
 
 
 def edge_crossings(phi: np.ndarray) -> list:
@@ -297,14 +295,13 @@ def edge_crossings(phi: np.ndarray) -> list:
 def extract_contour(phi: ScalarField) -> Contour:
     """Trace the zero level set with marching squares; vertices are the
     edge_crossings of phi, linearly interpolated along cell edges, so phi
-    interpolates to zero on them by construction. Returns an empty contour
-    when phi has uniform sign.
+    interpolates to zero on them by construction, and each crossing is a
+    vertex of exactly one chain. A saddle cell is resolved by the sign of
+    the sum of its corners' quarters (their average, which cannot overflow).
+    Returns an empty contour when phi has uniform sign.
     """
     d = phi.data
     h, w = d.shape
-    inside = d >= 0.0
-    if inside.all() or not inside.any():
-        return Contour()
 
     # the crossings by edge id: the horizontal edge from pixel k has id k,
     # the vertical one h * w + k, so the ids of both kinds ascend together
@@ -316,55 +313,45 @@ def extract_contour(phi: ScalarField) -> Contour:
     points[len(h_keys):, 0] = v_keys % w
     points[len(h_keys):, 1] = v_keys // w + v_t
 
-    # cells whose four corners mix signs
-    cell = (
-        inside[:-1, :-1].astype(np.uint8)
-        | inside[:-1, 1:].astype(np.uint8) << 1
-        | inside[1:, 1:].astype(np.uint8) << 2
-        | inside[1:, :-1].astype(np.uint8) << 3
-    )
+    # the cells whose corners mix signs, in row-major order: code, and k of corner a
+    inside = (d >= 0.0).view(np.uint8)
+    cell = inside[:-1, :-1] | inside[:-1, 1:] << 1 | inside[1:, 1:] << 2 | inside[1:, :-1] << 3
     ys, xs = np.nonzero((cell != 0) & (cell != 15))
+    code, k = cell[ys, xs], ys * w + xs
+    f = d.ravel()
+    centre = 0.25 * f[k] + 0.25 * f[k + 1] + 0.25 * f[k + w + 1] + 0.25 * f[k + w]
+    saddle = ((code == 5) | (code == 10)) & (centre >= 0)
+    code[saddle] = 16 + (code[saddle] == 10)
 
-    # adjacency between edge crossings: every segment links two edges
-    links: dict = {}
+    # the segments as crossing pairs, in link order (cell k's edges have ids k,
+    # h*w + k + 1, k + w and h*w + k); a segment (a, b) appends b to a's links,
+    # then a to b's, and -1 follows a crossing's only neighbour
+    slots = _SEGMENTS[code]
+    edges = np.array([0, h * w + 1, w, h * w])[slots] + k[:, None, None]
+    ends = np.searchsorted(ids, edges[slots[..., 0] >= 0])
+    node = ends.ravel()
+    first = np.unique(node, return_index=True)[1]  # each crossing's first link
+    links = np.full((len(ids), 2), -1)
+    links[node, (np.arange(len(node)) != first[node]).astype(np.intp)] = ends[:, ::-1].ravel()
 
-    def link(k1, k2):
-        links.setdefault(k1, []).append(k2)
-        links.setdefault(k2, []).append(k1)
-
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        case = int(cell[y, x])
-        if case in (5, 10):
-            # saddle: resolve with the cell-center average
-            center = 0.25 * (d[y, x] + d[y, x + 1] + d[y + 1, x + 1] + d[y + 1, x])
-            if case == 5:
-                pairs = [(0, 1), (2, 3)] if center >= 0 else [(3, 0), (1, 2)]
-            else:
-                pairs = [(3, 0), (1, 2)] if center >= 0 else [(0, 1), (2, 3)]
-        else:
-            pairs = _SEGMENTS[case]
-        k = y * w + x
-        edges = (k, h * w + k + 1, k + w, h * w + k)  # top, right, bottom, left
-        for e1, e2 in pairs:
-            link(edges[e1], edges[e2])
-
-    # an edge belongs to at most two cells and a cell's segments use disjoint
-    # edges, so every crossing has at most two neighbours and the graph is
-    # paths and cycles. Paths (border hits) start at their degree-1 ends,
-    # which are walked first; a chain that starts at degree 2 is a cycle.
-    seen = set()
+    # an edge belongs to at most two cells and a cell's segments use disjoint edges,
+    # so every crossing has one or two neighbours and the graph is paths and cycles.
+    # Paths (border hits) start at their degree-1 ends, which are walked first; a
+    # chain that starts at degree 2 is a cycle. one and two are each crossing's first
+    # and second neighbour; seen[-1] stands for a missing one.
+    one, two = links.T.tolist()
+    seen = bytearray(len(ids) + 1)
+    seen[-1] = 1
     loops, closed = [], []
-    for start in sorted(links, key=lambda k: len(links[k])):
-        if start in seen:
-            continue
-        seen.add(start)
-        chain = [start]
-        while nexts := [k for k in links[chain[-1]] if k not in seen]:
-            seen.add(nexts[0])
-            chain.append(nexts[0])
-        if len(chain) >= 3:
-            loops.append(points[np.searchsorted(ids, chain)])
-            closed.append(len(links[start]) == 2)
+    for start in np.lexsort((first, links[:, 1] >= 0)).tolist():
+        at, chain = start, []
+        while not seen[at]:
+            seen[at] = 1
+            chain.append(at)
+            at = two[at] if seen[one[at]] else one[at]
+        if chain:
+            loops.append(points[chain])
+            closed.append(two[start] >= 0)
 
     return Contour(loops=loops, closed=closed)
 

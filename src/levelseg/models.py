@@ -50,7 +50,6 @@ class EvolveParams:
         iteration: an iteration is still when the zero crossings on the grid
         edges moved less than this on average (see solver.evolve)
     reinit_every: reinitialize the level set every N steps (0 disables)
-    reinit_sweeps: relaxation sweeps per reinitialization
     """
 
     mu: float = 5.0
@@ -62,7 +61,6 @@ class EvolveParams:
     max_iters: int = 500
     stop_tol: float = 5e-3
     reinit_every: int = 25
-    reinit_sweeps: int = 10
 
     def validate(self) -> None:
         for name in ("mu", "nu", "lam", "eps"):
@@ -84,8 +82,6 @@ class EvolveParams:
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
         if self.reinit_every < 0:
             raise ValueError(f"reinit_every must be >= 0, got {self.reinit_every}")
-        if self.reinit_sweeps < 0:
-            raise ValueError(f"reinit_sweeps must be >= 0, got {self.reinit_sweeps}")
 
 
 @dataclass

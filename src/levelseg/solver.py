@@ -48,6 +48,8 @@ from .models import (  # noqa: F401
 # an iteration is still when the zero crossings on the grid edges moved less
 # than stop_tol px on average; this many still iterations in a row converge
 STOP_WINDOW = 5
+# relaxation sweeps of each reinitialization
+REINIT_SWEEPS = 10
 # region_terms decides lambda without looking at the region constants
 _NO_STATS = RegionStats(c1=0.0, c2=0.0, n_inside=0, n_outside=0, max_intensity=0.0)
 
@@ -222,7 +224,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
             del new_data
             event = "step"
             if params.reinit_every > 0 and it % params.reinit_every == 0:
-                phi = reinitialize(phi, params.reinit_sweeps, scratch=scratch)
+                phi = reinitialize(phi, REINIT_SWEEPS, scratch=scratch)
                 event = "reinit"
             stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
             trace.append(TraceEntry(it, energy, *(terms or (None, None))[:2], event))

@@ -142,6 +142,80 @@ class TestMaskInside:
         assert np.array_equal(both, phi.data == 0.0)
 
 
+def extract_contour_reference(phi: ScalarField) -> Contour:
+    """The marching-squares walk as first written, over a dict of neighbour
+    lists built cell by cell; extract_contour must give the same loops, in
+    the same order, with the same vertex bytes and closed flags."""
+    segments = {
+        0: [], 15: [],
+        1: [(3, 0)], 14: [(3, 0)],
+        2: [(0, 1)], 13: [(0, 1)],
+        4: [(1, 2)], 11: [(1, 2)],
+        8: [(2, 3)], 7: [(2, 3)],
+        3: [(3, 1)], 12: [(3, 1)],
+        6: [(0, 2)], 9: [(0, 2)],
+    }
+    d = phi.data
+    h, w = d.shape
+    inside = d >= 0.0
+    if inside.all() or not inside.any():
+        return Contour()
+    (h_keys, h_t), (v_keys, v_t) = edge_crossings(d)
+    ids = np.concatenate((h_keys, v_keys + h * w))
+    points = np.empty((len(ids), 2))
+    points[:len(h_keys), 0] = h_keys % w + h_t
+    points[:len(h_keys), 1] = h_keys // w
+    points[len(h_keys):, 0] = v_keys % w
+    points[len(h_keys):, 1] = v_keys // w + v_t
+    cell = (
+        inside[:-1, :-1].astype(np.uint8)
+        | inside[:-1, 1:].astype(np.uint8) << 1
+        | inside[1:, 1:].astype(np.uint8) << 2
+        | inside[1:, :-1].astype(np.uint8) << 3
+    )
+    ys, xs = np.nonzero((cell != 0) & (cell != 15))
+    links: dict = {}
+
+    def link(k1, k2):
+        links.setdefault(k1, []).append(k2)
+        links.setdefault(k2, []).append(k1)
+
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        case = int(cell[y, x])
+        if case in (5, 10):
+            center = 0.25 * (d[y, x] + d[y, x + 1] + d[y + 1, x + 1] + d[y + 1, x])
+            if case == 5:
+                pairs = [(0, 1), (2, 3)] if center >= 0 else [(3, 0), (1, 2)]
+            else:
+                pairs = [(3, 0), (1, 2)] if center >= 0 else [(0, 1), (2, 3)]
+        else:
+            pairs = segments[case]
+        k = y * w + x
+        edges = (k, h * w + k + 1, k + w, h * w + k)
+        for e1, e2 in pairs:
+            link(edges[e1], edges[e2])
+
+    seen = set()
+    loops, closed = [], []
+    for start in sorted(links, key=lambda k: len(links[k])):
+        if start in seen:
+            continue
+        seen.add(start)
+        chain = [start]
+        while nexts := [k for k in links[chain[-1]] if k not in seen]:
+            seen.add(nexts[0])
+            chain.append(nexts[0])
+        loops.append(points[np.searchsorted(ids, chain)])
+        closed.append(len(links[start]) == 2)
+    return Contour(loops=loops, closed=closed)
+
+
+def assert_same_contour(phi: ScalarField) -> None:
+    contour, expected = extract_contour(phi), extract_contour_reference(phi)
+    assert [loop.tobytes() for loop in contour.loops] == [loop.tobytes() for loop in expected.loops]
+    assert contour.closed == expected.closed
+
+
 class TestExtractContour:
     def test_circle_radius(self):
         phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
@@ -184,13 +258,32 @@ class TestExtractContour:
                 val = (1 - fy) * d[y0, x0] + fy * d[y0 + 1, x0]
             assert abs(val) < 1e-9
 
-    def test_vertices_are_the_edge_crossings(self):
-        # the contour and the solver's stop rule place a crossing by one rule
-        phi = signed_distance(InitShape.circle_grid(2, 2, 6.3, 48, 40), 48, 40)
-        (h_keys, h_t), (v_keys, v_t) = edge_crossings(phi.data)
-        expected = sorted([(k % 48 + t, k // 48) for k, t in zip(h_keys, h_t)]
-                          + [(k % 48, k // 48 + t) for k, t in zip(v_keys, v_t)])
-        assert sorted(map(tuple, extract_contour(phi).vertices().tolist())) == expected
+    @pytest.mark.parametrize("field", ["circles", "corner pixel", "noise"])
+    def test_vertices_are_the_edge_crossings(self, field):
+        # the contour and the solver's stop rule place a crossing by one rule,
+        # and every crossing is a vertex of one chain, also of a 2-vertex chain
+        # around a lone inside pixel in a grid corner
+        if field == "circles":
+            phi = signed_distance(InitShape.circle_grid(2, 2, 6.3, 48, 40), 48, 40).data
+        elif field == "corner pixel":
+            phi = np.full((5, 5), -1.0)
+            phi[0, 0] = 1.0
+        else:
+            phi = np.random.default_rng(2).normal(size=(40, 48))
+        w = phi.shape[1]
+        (h_keys, h_t), (v_keys, v_t) = edge_crossings(phi)
+        expected = sorted([(k % w + t, k // w) for k, t in zip(h_keys, h_t)]
+                          + [(k % w, k // w + t) for k, t in zip(v_keys, v_t)])
+        assert sorted(map(tuple, extract_contour(ScalarField(phi)).vertices().tolist())) == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_saddle_centre_near_the_largest_float(self):
+        # the saddle's corners sum past the largest float; their quarters do not
+        phi = np.full((8, 8), -1.0)
+        phi[3, 3] = phi[4, 4] = 1.7e308
+        contour = extract_contour(ScalarField(phi))
+        assert contour.closed == [True]
+        assert len(contour.loops[0]) == 8  # one loop around both pixels
 
     def test_grid_of_circles_yields_loops(self):
         phi = signed_distance(InitShape.circle_grid(2, 2, 6, 64, 64), 64, 64)
@@ -209,6 +302,24 @@ class TestExtractContour:
         assert np.all(np.abs(np.diff(line[:, 1])) == 1.0)  # one vertex per row, in order
         steps = np.hypot(*np.diff(np.vstack([loop, loop[:1]]), axis=0).T)
         assert steps.max() <= np.sqrt(2.0)  # consecutive vertices share a cell
+
+    @pytest.mark.parametrize("chunk", range(3))
+    def test_equals_the_reference_walk_on_random_fields(self, chunk):
+        # 100 fields per chunk; in every third, some pixels are exactly 0
+        rng = np.random.default_rng(chunk)
+        for i in range(100):
+            height, width = rng.integers(3, 41, size=2)
+            d = rng.normal(size=(height, width))
+            if i % 3 == 0:
+                d[rng.random(d.shape) < 0.3] = 0.0
+            assert_same_contour(ScalarField(d))
+
+    @pytest.mark.parametrize("n, start", [(256, "circles"), (128, "periodic"),
+                                          (256, "periodic"), (512, "periodic")])
+    def test_equals_the_reference_walk_on_the_starts(self, n, start):
+        shape = (InitShape.circle_grid(4, 4, n / 10, n, n) if start == "circles"
+                 else default_seed_grid(n, n))
+        assert_same_contour(signed_distance(shape, n, n))
 
 
 def reinitialize_reference(phi: ScalarField, iterations: int) -> np.ndarray:

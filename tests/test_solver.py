@@ -145,6 +145,19 @@ class TestEvolveBasics:
         assert len(res.energy_trace) == 1
         assert np.array_equal(res.mask, sdf >= 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", ["chan_vese", "modified", "geodesic"])
+    def test_stalled_on_a_saddle_whose_corners_sum_past_the_largest_float(self, model):
+        # the run stops at the first step; the final contour, traced after
+        # the loop's errstate block, resolves the saddle without an overflow
+        phi = np.full((8, 8), -1.0)
+        phi[3, 3] = phi[4, 4] = 1.7e308
+        u0 = normalized_disk(8, 8, 3.5, 3.5, 2.0)
+        res = evolve(model, u0, ScalarField(phi), EvolveParams(mu=0.2, max_iters=30))
+        assert res.stop_reason == "stalled"
+        assert "non-finite at iteration 1" in res.diagnostics
+        assert res.contour.closed == [True]
+
     def test_aligned_disk_is_fixed_point(self):
         # mu=5, nu=0 on the already-aligned phantom: converges fast and the
         # contour stays within 1 px of where it started
