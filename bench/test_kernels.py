@@ -9,9 +9,10 @@ Tier-1 does not collect this directory (testpaths is ["tests"]). The
 inputs are a level set of 4 x 4 circles of radius n/10, pinned so that
 the per-kernel timings keep measuring the same field, and a seeded uniform
 image in [0, 1], which the geodesic kernels get pre-smoothed, as evolve
-passes it to them. extract_contour runs on the circles at 256^2 and 512^2,
-and on levelset.default_seed_grid, the dense periodic start of the region
-models, at 256^2 and at 512^2, the size of the geodesic_512 workload.
+passes it to them. extract_contour and the stop rule's interface motion
+run on the circles at 256^2 and 512^2, and on levelset.default_seed_grid,
+the dense periodic start of the region models, at 256^2 and at 512^2, the
+size of the geodesic_512 workload.
 """
 
 import numpy as np
@@ -139,19 +140,29 @@ def test_crossings(benchmark, fields):
     benchmark(edge_crossings, fields[1].data)
 
 
-# the seed circles against the same circles grown by a quarter pixel: every
-# crossing moves, and none appears or vanishes
-def test_interface_motion(benchmark, fields):
-    phi = fields[1].data
+# the seed circles and the dense periodic start at 256^2 and 512^2
+STARTS = pytest.mark.parametrize("n, start", [(256, "circles"), (512, "circles"),
+                                              (256, "periodic"), (512, "periodic")],
+                                 ids=lambda v: f"{v}px" if isinstance(v, int) else v)
+
+
+def start_shape(n, start):
+    return (InitShape.circle_grid(4, 4, n / 10, n, n) if start == "circles"
+            else default_seed_grid(n, n))
+
+
+# the stop rule's comparison of one step's crossings with the next: a field
+# against itself raised by a quarter pixel, so that some crossings stay on
+# their edge and the others move to a neighbouring one; the dense start's
+# 256^2 field has ~26 k crossings
+@STARTS
+def test_interface_motion(benchmark, n, start):
+    phi = signed_distance(start_shape(n, start), n, n).data
     benchmark(_interface_motion, edge_crossings(phi), edge_crossings(phi + 0.25))
 
 
 # the contour evolve traces at the end of every run: of the seed circles,
 # and of the dense periodic start, which a run stopped early returns
-@pytest.mark.parametrize("n, start", [(256, "circles"), (512, "circles"), (256, "periodic"),
-                                      (512, "periodic")],
-                         ids=lambda v: f"{v}px" if isinstance(v, int) else v)
+@STARTS
 def test_extract_contour(benchmark, n, start):
-    shape = (InitShape.circle_grid(4, 4, n / 10, n, n) if start == "circles"
-             else default_seed_grid(n, n))
-    benchmark(extract_contour, signed_distance(shape, n, n))
+    benchmark(extract_contour, signed_distance(start_shape(n, start), n, n))

@@ -269,26 +269,27 @@ for _codes, _pairs in (((1, 14), [(3, 0)]), ((2, 13), [(0, 1)]), ((4, 11), [(1, 
 
 
 def edge_crossings(phi: np.ndarray) -> list:
-    """The zero crossings of phi on the grid edges, as (edge keys, t) for the
-    horizontal and then the vertical edges. An edge from pixel a to its right
-    or lower neighbour b is crossed when one end is inside (phi >= 0) and the
-    other is not; its key is the flat index of a, in ascending order, and the
-    crossing lies at t = phi_a / (phi_a - phi_b) of the way from a to b.
-    phi_a and phi_b are halved first (exact for normal floats), so that the
-    difference cannot overflow where |phi| nears the largest float. Halving
-    rounds the smallest subnormals to 0, so t is 0 where both halves are.
+    """The zero crossings of phi on the grid edges, as (keys, t, crossed) for
+    the horizontal and then the vertical edges. The edge from pixel a to its
+    right or lower neighbour b is crossed (crossed[a]; never from a row's end)
+    when one end is inside (phi >= 0) and the other is not. keys are the
+    crossed a, ascending; t = phi_a / (phi_a - phi_b) places the crossing
+    from a to b, with both halved first (exact for normal floats) so that the
+    difference cannot overflow near the largest float. Halving rounds the
+    smallest subnormals to 0, so t is 0 where both halves are.
     """
     flat = phi.ravel()
     inside = flat >= 0.0
     width = phi.shape[1]
     found = []
     for step in (1, width):
-        keys = np.flatnonzero(inside[:-step] != inside[step:])
+        crossed = inside[:-step] != inside[step:]
         if step == 1:
-            keys = keys[keys % width != width - 1]  # not from a row's end to the next row
+            crossed[width - 1::width] = False
+        keys = np.flatnonzero(crossed)
         a = flat[keys] * 0.5
         gap = a - flat[keys + step] * 0.5
-        found.append((keys, np.divide(a, gap, out=np.zeros_like(a), where=gap != 0.0)))
+        found.append((keys, np.divide(a, gap, out=np.zeros_like(a), where=gap != 0.0), crossed))
     return found
 
 
@@ -305,7 +306,7 @@ def extract_contour(phi: ScalarField) -> Contour:
 
     # the crossings by edge id: the horizontal edge from pixel k has id k,
     # the vertical one h * w + k, so the ids of both kinds ascend together
-    (h_keys, h_t), (v_keys, v_t) = edge_crossings(d)
+    (h_keys, h_t, _), (v_keys, v_t, _) = edge_crossings(d)
     ids = np.concatenate((h_keys, v_keys + h * w))
     points = np.empty((len(ids), 2))
     points[:len(h_keys), 0] = h_keys % w + h_t

@@ -123,30 +123,17 @@ def _stats_and_energy(model, u0, u_model, phi, params, scratch):
 
 def _interface_motion(before, after) -> float:
     """Mean displacement of the zero crossings between two iterations, in
-    px: |t_after - t_before| on an edge crossed both times, 1 on an edge
-    crossed only once (a crossing that appeared or vanished). 0 when
-    neither phi crosses zero.
+    px: |t_after - t_before| on an edge crossed both times (the keys of each
+    side gathered through the other's crossed mask), 1 on an edge crossed
+    once (a crossing appeared or vanished); 0 when neither phi crosses zero.
     """
     moved, edges = 0.0, 0
-    for (keys0, t0), (keys1, t1) in zip(before, after):
-        i0, i1 = _shared_keys(keys0, keys1)
-        once = len(keys0) + len(keys1) - 2 * len(i0)
-        moved += float(np.abs(t1[i1] - t0[i0]).sum()) + once
-        edges += len(i0) + once
+    for (keys0, t0, crossed0), (keys1, t1, crossed1) in zip(before, after):
+        shift = t1[crossed0[keys1]] - t0[crossed1[keys0]]
+        once = len(keys0) + len(keys1) - 2 * len(shift)
+        moved += float(np.abs(shift).sum()) + once
+        edges += len(shift) + once
     return moved / edges if edges else 0.0
-
-
-def _shared_keys(keys0: np.ndarray, keys1: np.ndarray) -> tuple:
-    """(i0, i1) with keys0[i0] == keys1[i1], over the keys in both sorted,
-    unique key arrays in ascending order: the indices that
-    np.intersect1d(keys0, keys1, assume_unique=True, return_indices=True)
-    returns, found by binary search instead of its merge sort.
-    """
-    i0 = np.searchsorted(keys0, keys1)
-    found = i0 < len(keys0)
-    found[found] = keys0[i0[found]] == keys1[found]
-    i1 = np.flatnonzero(found)
-    return i0[i1], i1
 
 
 def evolve(model: str, u0: ScalarField, phi0: ScalarField,
@@ -230,16 +217,16 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
             trace.append(TraceEntry(it, energy, *(terms or (None, None))[:2], event))
             iterations_run = it
 
-            previous, crossings = crossings, edge_crossings(phi.data)
-            still = _interface_motion(previous, crossings) < params.stop_tol
-            streak = streak + 1 if still else 0
+            # the last step's crossings against this step's, which replace them
+            moved = _interface_motion(crossings, crossings := edge_crossings(phi.data))
+            streak = streak + 1 if moved < params.stop_tol else 0
             if streak >= STOP_WINDOW:
                 stop_reason = "converged"
                 break
 
-    # phi's data is a view of the curvature's h x (w + 2) run buffer; the
-    # result keeps an h x w copy, made once the work set is freed
-    del scratch
+    # phi's data is a view of the curvature's h x (w + 2) run buffer; the result
+    # keeps an h x w copy, made once the work set and the edge masks are freed
+    del scratch, crossings
     phi = phi.like(phi.data.copy())
     return SegmentationResult(
         phi_final=phi,

@@ -160,7 +160,7 @@ def extract_contour_reference(phi: ScalarField) -> Contour:
     inside = d >= 0.0
     if inside.all() or not inside.any():
         return Contour()
-    (h_keys, h_t), (v_keys, v_t) = edge_crossings(d)
+    (h_keys, h_t, _), (v_keys, v_t, _) = edge_crossings(d)
     ids = np.concatenate((h_keys, v_keys + h * w))
     points = np.empty((len(ids), 2))
     points[:len(h_keys), 0] = h_keys % w + h_t
@@ -271,7 +271,7 @@ class TestExtractContour:
         else:
             phi = np.random.default_rng(2).normal(size=(40, 48))
         w = phi.shape[1]
-        (h_keys, h_t), (v_keys, v_t) = edge_crossings(phi)
+        (h_keys, h_t, _), (v_keys, v_t, _) = edge_crossings(phi)
         expected = sorted([(k % w + t, k // w) for k, t in zip(h_keys, h_t)]
                           + [(k % w, k // w + t) for k, t in zip(v_keys, v_t)])
         assert sorted(map(tuple, extract_contour(ScalarField(phi)).vertices().tolist())) == expected

@@ -18,7 +18,6 @@ from levelseg.models import EvolveParams
 from levelseg.solver import (
     SegmentationResult,
     _interface_motion,
-    _shared_keys,
     evolve,
     stability_dt,
     trace_csv,
@@ -120,6 +119,19 @@ class TestEvolveBasics:
         events = [e.event for e in res.energy_trace]
         assert events[4] == "reinit" and events[8] == "reinit"
         assert events[1] == "step"
+
+    def test_defaults_segment_a_normalized_image(self):
+        # the data terms of [0, 1] input are at most 1, so the default length
+        # weight must leave them room to move the contour onto the discs
+        n = 64
+        y, x = np.mgrid[0:n, 0:n].astype(float)
+        truth = (np.hypot(x - 19.2, y - 22.4) <= 9.6) | (np.hypot(x - 43.5, y - 39.7) <= 12.8)
+        u = np.where(truth, 0.8, 0.1) + np.random.default_rng(5).normal(0.0, 0.08, (n, n))
+        u = (u - u.min()) / (u.max() - u.min())
+        phi0 = signed_distance(default_seed_grid(n, n), n, n)
+        res = evolve("modified", ScalarField(u), phi0, EvolveParams())
+        assert res.stop_reason == "converged"
+        assert (res.mask & truth).sum() / (res.mask | truth).sum() >= 0.95
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stalled_on_blowup(self):
@@ -310,7 +322,7 @@ class TestInterfaceMotion:
         return x - x0
 
     def test_crossings_are_subpixel(self):
-        (h_keys, h_t), (v_keys, v_t) = edge_crossings(self.ramp(2.3))
+        (h_keys, h_t, _), (v_keys, v_t, _) = edge_crossings(self.ramp(2.3))
         assert np.array_equal(h_keys, np.arange(5) * 6 + 2)
         assert np.allclose(h_t, 0.3)
         assert len(v_keys) == 0 and len(v_t) == 0
@@ -337,7 +349,7 @@ class TestInterfaceMotion:
         # halved values are not, so every crossing is halfway along its edge
         sdf = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
         phi = np.where(sdf >= 0.0, 1.7e308, -1.7e308)
-        for keys, t in edge_crossings(phi):
+        for keys, t, _ in edge_crossings(phi):
             assert len(keys) > 0 and np.all(t == 0.5)
 
     @pytest.mark.filterwarnings("error")
@@ -347,7 +359,7 @@ class TestInterfaceMotion:
         # t = 0/0; the crossing is taken at pixel a instead of NaN
         phi = np.full((4, 4), -1.0)
         phi[1, 1], phi[1, 2] = a, b
-        (h_keys, h_t), _ = edge_crossings(phi)
+        (h_keys, h_t, _), _ = edge_crossings(phi)
         assert np.all(np.isfinite(h_t))
         assert h_t[list(h_keys).index(5)] == 0.0
         assert np.all(np.isfinite(extract_contour(ScalarField(phi)).vertices()))
@@ -381,6 +393,8 @@ class TestSharedKeys:
         return np.flatnonzero(rng.random(top) < n / top)
 
     def test_equals_intersect1d_bytewise(self):
+        # the stop rule pairs two iterations' edges by gathering each one's
+        # keys through the other's crossed mask, built here from the keys
         rng = np.random.default_rng(5)
         empty = np.flatnonzero(np.zeros(10, dtype=bool))
         cases = [(empty, empty), (empty, np.arange(4)), (np.arange(4), empty),
@@ -392,10 +406,93 @@ class TestSharedKeys:
             cases.append((self.keys(rng, rng.integers(0, top + 1), top),
                           self.keys(rng, rng.integers(0, top + 1), top)))
         for keys0, keys1 in cases:
-            got = _shared_keys(keys0, keys1)
+            crossed0, crossed1 = np.zeros(400, dtype=bool), np.zeros(400, dtype=bool)
+            crossed0[keys0], crossed1[keys1] = True, True
+            got = np.flatnonzero(crossed1[keys0]), np.flatnonzero(crossed0[keys1])
             want = self.reference(keys0, keys1)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def searched_motion(phi0, phi1):
+    """The stop rule's motion as it was before the crossed masks: row-end
+    edges dropped by their keys' column, and the edges crossed both times
+    found by binary search."""
+    def crossings(phi):
+        flat, width = phi.ravel(), phi.shape[1]
+        inside = flat >= 0.0
+        found = []
+        for step in (1, width):
+            keys = np.flatnonzero(inside[:-step] != inside[step:])
+            if step == 1:
+                keys = keys[keys % width != width - 1]
+            a = flat[keys] * 0.5
+            gap = a - flat[keys + step] * 0.5
+            found.append((keys, np.divide(a, gap, out=np.zeros_like(a), where=gap != 0.0)))
+        return found
+
+    moved, edges = 0.0, 0
+    for (keys0, t0), (keys1, t1) in zip(crossings(phi0), crossings(phi1)):
+        i0 = np.searchsorted(keys0, keys1)
+        found = i0 < len(keys0)
+        found[found] = keys0[i0[found]] == keys1[found]
+        i1 = np.flatnonzero(found)
+        i0 = i0[i1]
+        once = len(keys0) + len(keys1) - 2 * len(i0)
+        moved += float(np.abs(t1[i1] - t0[i0]).sum()) + once
+        edges += len(i0) + once
+    return moved / edges if edges else 0.0
+
+
+def motion_pair(case):
+    rng = np.random.default_rng(9)
+    if case == "periodic start, one step":
+        phi0 = signed_distance(default_seed_grid(64, 64), 64, 64)
+        res = evolve("modified", normalized_disk(), phi0, EvolveParams(mu=0.2, max_iters=1))
+        return phi0.data, res.phi_final.data
+    if case == "shifted circles":
+        circles = InitShape.circle_grid(2, 2, 6.3, 48, 40)
+        shifted = InitShape("grid", tuple((x + 0.37, y - 0.21) for x, y in circles.centers),
+                            circles.radius)
+        return signed_distance(circles, 48, 40).data, signed_distance(shifted, 48, 40).data
+    if case == "noise with zeros":
+        # halves on a coarse scale: many exact zeros, inside by the sign rule
+        return (np.round(rng.normal(size=(40, 48)) * 2.0) / 2.0,
+                np.round(rng.normal(size=(40, 48)) * 2.0) / 2.0)
+    if case == "uniform sign":
+        return np.ones((6, 7)), -np.ones((6, 7))
+    if case == "row ends":
+        # each row's last pixel inside, the next row's first outside; then
+        # the first column inside as well
+        phi0 = -np.ones((6, 7))
+        phi0[:, -1] = 1.0
+        phi1 = phi0.copy()
+        phi1[:, 0] = 0.25
+        return phi0, phi1
+    phi0 = np.full((4, 4), -1.0)  # smallest subnormal next to a zero
+    phi1 = phi0.copy()
+    phi0[1, 1], phi0[1, 2] = 0.0, -5e-324
+    phi1[1, 1], phi1[1, 2] = -5e-324, 0.0
+    return phi0, phi1
+
+
+class TestMaskedPairing:
+    @pytest.mark.parametrize("case", ["periodic start, one step", "shifted circles",
+                                      "noise with zeros", "uniform sign", "row ends",
+                                      "smallest subnormal"])
+    def test_equals_the_searched_motion_bit_for_bit(self, case):
+        phi0, phi1 = motion_pair(case)
+        for a, b in ((phi0, phi1), (phi1, phi0), (phi0, phi0)):
+            got = _interface_motion(edge_crossings(a), edge_crossings(b))
+            assert got.hex() == searched_motion(a, b).hex()
+
+    def test_row_ends_stay_uncrossed(self):
+        phi0, phi1 = motion_pair("row ends")
+        for phi in (phi0, phi1):
+            (keys, _, crossed), _ = edge_crossings(phi)
+            assert not crossed[6::7].any() and not np.any(keys % 7 == 6)
+        # the 6 edges into the last column stay, and 6 from the first column appear
+        assert _interface_motion(edge_crossings(phi0), edge_crossings(phi1)) == 6 / 12
 
 
 class TestEnergyDescent:
