@@ -143,7 +143,7 @@ def _godunov_term(b: np.ndarray, minus_f: np.ndarray, low: np.ndarray,
     minus_f *= minus_f
 
 
-def reinitialize(phi: ScalarField, iterations: int = 10, *,
+def reinitialize(phi: ScalarField, iterations: int, *,
                  scratch: Scratch | None = None) -> ScalarField:
     """Relax phi toward a signed distance function without moving the zero
     level: iterate d_t = S(phi0) (1 - |grad d|) with Godunov upwind

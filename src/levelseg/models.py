@@ -13,6 +13,7 @@ scale-agnostic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -44,12 +45,13 @@ class EvolveParams:
     lam: weight of the inside data term, Chan-Vese variant only (> 0)
     alpha: inside-target fraction of max intensity, modified model only
     eps: Heaviside/delta regularization width (> 0)
-    dt: explicit time step; None selects the stability bound automatically
-    max_iters: iteration cap
+    max_iters: iteration cap (an integer >= 0)
     stop_tol: interface-motion threshold of the stopping rule, in px per
         iteration: an iteration is still when the zero crossings on the grid
-        edges moved less than this on average (see solver.evolve)
-    reinit_every: reinitialize the level set every N steps (0 disables)
+        edges moved less than this on average (see solver.evolve), at the
+        step of solver.stability_dt: mu, lam, nu and the spacing h set the
+        evolution time of an iteration, and so of the tolerance
+    reinit_every: reinitialize every N steps (an integer; 0 disables)
     """
 
     mu: float = 0.2
@@ -57,7 +59,6 @@ class EvolveParams:
     lam: float = 1.0
     alpha: float = 0.7
     eps: float = 1.0
-    dt: Optional[float] = None
     max_iters: int = 500
     stop_tol: float = 5e-3
     reinit_every: int = 25
@@ -74,14 +75,13 @@ class EvolveParams:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not (self.eps > 0):
             raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.dt is not None and not (self.dt > 0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not (self.stop_tol >= 0):  # NaN fails; inf makes every iteration still
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
-        if self.reinit_every < 0:
-            raise ValueError(f"reinit_every must be >= 0, got {self.reinit_every}")
+        for name in ("max_iters", "reinit_every"):
+            value = getattr(self, name)
+            # Integral, so that numpy integers pass
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass
@@ -107,9 +107,11 @@ class RegionStats:
 
 
 def _check_dims(u0: ScalarField, phi: ScalarField) -> None:
-    if u0.data.shape != phi.data.shape:
+    """Refuse an image and a level set whose shapes or spacings differ."""
+    if u0.data.shape != phi.data.shape or u0.spacing != phi.spacing:
         raise ValueError(
-            f"image and level set dimensions differ: {u0.data.shape} vs {phi.data.shape}"
+            f"image and level set grids differ: {u0.data.shape} at h = {u0.spacing} "
+            f"vs {phi.data.shape} at h = {phi.spacing}"
         )
 
 

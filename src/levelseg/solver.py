@@ -60,15 +60,14 @@ class TraceEntry:
     of models.region_terms: c1 for Chan-Vese or the fixed alpha*M target for
     the modified model, then c2; both are None for geodesic runs. c1 and c2
     are the H_eps-weighted means of models.weighted_averages, not the binary
-    means of region_averages. event marks reinitialization steps and the
-    initial dt clamp.
+    means of region_averages. event marks the steps that reinitialized.
     """
 
     iteration: int
     energy: float
     c_inside: Optional[float]
     c_outside: Optional[float]
-    event: str  # step | reinit | clamp
+    event: str  # step | reinit
 
 
 @dataclass
@@ -80,7 +79,6 @@ class SegmentationResult:
     iterations_run: int
     stop_reason: str  # converged | max_iters | stalled
     dt_used: float
-    dt_clamped: bool
     diagnostics: Optional[str] = None
 
     @property
@@ -91,11 +89,12 @@ class SegmentationResult:
 
 
 def stability_dt(params: EvolveParams, model: str, spacing: float = 1.0) -> float:
-    """Largest safe explicit step: dt * (4 mu / h^2 + max data term) <= 0.9
-    for the region models (intensities normalized to [0, 1], so the data
-    term is bounded by max(lambda, 1) + |nu|, lambda from
-    models.region_terms), and dt <= 0.25 h^2 for the geodesic flow. This is
-    where evolve checks the model name.
+    """The step evolve takes, the largest safe explicit one:
+    dt * (4 mu / h^2 + max data term) <= 0.9 for the region models
+    (intensities normalized to [0, 1], so the data term is bounded by
+    max(lambda, 1) + |nu|, lambda from models.region_terms), and
+    dt <= 0.25 h^2 for the geodesic flow. This is where evolve checks the
+    model name.
     """
     if model not in MODEL_NAMES:
         raise ValueError(f"unknown model {model!r}, expected one of {MODEL_NAMES}")
@@ -138,11 +137,11 @@ def _interface_motion(before, after) -> float:
 
 def evolve(model: str, u0: ScalarField, phi0: ScalarField,
            params: EvolveParams) -> SegmentationResult:
-    """Run one segmentation: phi <- phi + dt * rhs with region constants
-    refreshed every iteration, reinitialization every ``reinit_every`` steps,
-    and an energy entry per iteration. The region models use the
-    H_eps-weighted constants of models.weighted_averages, which minimize
-    their energy at fixed phi.
+    """Run one segmentation: phi <- phi + dt * rhs, with dt the stability_dt
+    of the run's grid, region constants refreshed every iteration,
+    reinitialization every ``reinit_every`` steps, and an energy entry per
+    iteration. The region models use the H_eps-weighted constants of
+    models.weighted_averages, which minimize their energy at fixed phi.
 
     An iteration is still when the zero crossings of phi on the grid edges
     (levelset.edge_crossings, the contour's vertices) moved less than
@@ -154,8 +153,9 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
     not decide the stop: phi can keep steepening around a contour that has
     stopped moving.
 
-    u0 must be normalized to [0, 1]; phi0 should be signed-distance-like
-    (grid units). For the geodesic model u0 is pre-smoothed here before its
+    u0 must be normalized to [0, 1] and lie on phi0's grid (same shape and
+    spacing); phi0 should be signed-distance-like (grid units) and is not
+    written. For the geodesic model u0 is pre-smoothed here before its
     gradients feed the edge detector.
     """
     params.validate()
@@ -166,16 +166,9 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
             f"got range [{u0.data.min():.4g}, {u0.data.max():.4g}]"
         )
 
-    bound = stability_dt(params, model, u0.spacing)
+    dt = stability_dt(params, model, u0.spacing)
     u_model = gaussian_smooth(u0) if model == "geodesic" else u0
-    if params.dt is None:
-        dt, clamped = bound, False
-    elif params.dt > bound:
-        dt, clamped = bound, True
-    else:
-        dt, clamped = params.dt, False
-
-    phi = phi0.like(phi0.data.copy())
+    phi = phi0
     # work space of every kernel of the step for this run
     scratch = Scratch(phi.data.shape)
     stop_reason = "max_iters"
@@ -186,8 +179,7 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
     # an overflowing phi must reach the finiteness check as NaN/Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
-        trace = [TraceEntry(0, energy, *(terms or (None, None))[:2],
-                            "clamp" if clamped else "step")]
+        trace = [TraceEntry(0, energy, *(terms or (None, None))[:2], "step")]
         crossings = edge_crossings(phi.data)
 
         for it in range(1, params.max_iters + 1):
@@ -236,7 +228,6 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
         iterations_run=iterations_run,
         stop_reason=stop_reason,
         dt_used=dt,
-        dt_clamped=clamped,
         diagnostics=diagnostics,
     )
 

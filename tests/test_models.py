@@ -55,8 +55,9 @@ class TestEvolveParams:
             {"alpha": 0.0},
             {"alpha": 1.5},
             {"eps": 0.0},
-            {"dt": -0.1},
             {"max_iters": -1},
+            {"max_iters": 10.5},
+            {"reinit_every": 2.5},
             {"stop_tol": -1e-3},
             {"reinit_every": -1},
             {"mu": float("nan")},
@@ -78,6 +79,9 @@ class TestEvolveParams:
     def test_extreme_stop_tol_allowed(self):
         EvolveParams(stop_tol=0.0).validate()
         EvolveParams(stop_tol=np.inf).validate()
+
+    def test_numpy_integer_budgets_allowed(self):
+        EvolveParams(max_iters=np.int64(10), reinit_every=np.int32(5)).validate()
 
 
 class TestRegionAverages:
@@ -104,9 +108,12 @@ class TestRegionAverages:
         assert stats.c2 == pytest.approx(float(u0.data.mean()))
         assert stats.n_outside == 0
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("phi", [ScalarField(np.zeros((8, 9))),
+                                     ScalarField(np.zeros((8, 8)), spacing=0.25)],
+                             ids=["shape", "spacing"])
+    def test_dimension_mismatch(self, phi):
         with pytest.raises(ValueError):
-            region_averages(ScalarField(np.zeros((8, 8))), ScalarField(np.zeros((8, 9))))
+            region_averages(ScalarField(np.zeros((8, 8))), phi)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

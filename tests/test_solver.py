@@ -95,15 +95,33 @@ class TestEvolveBasics:
         assert res.stop_reason == "max_iters"
         assert res.iterations_run == 12
 
-    def test_dt_clamp_recorded(self):
+    @pytest.mark.parametrize("model", models.MODEL_NAMES)
+    def test_rejects_image_and_level_set_on_different_spacings(self, model):
         u0 = normalized_disk()
-        phi0 = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
-        res = evolve("chan_vese", u0, phi0, EvolveParams(dt=10.0, max_iters=2))
-        assert res.dt_clamped
-        assert res.dt_used == pytest.approx(stability_dt(EvolveParams(), "chan_vese"))
-        assert res.energy_trace[0].event == "clamp"
-        small = evolve("chan_vese", u0, phi0, EvolveParams(dt=1e-3, max_iters=2))
-        assert not small.dt_clamped and small.dt_used == pytest.approx(1e-3)
+        phi0 = ScalarField(signed_distance(InitShape.circle(32, 32, 10), 64, 64).data,
+                           spacing=0.25)
+        with pytest.raises(ValueError, match="grids differ"):
+            evolve(model, u0, phi0, EvolveParams(max_iters=2))
+
+    @pytest.mark.parametrize("model", models.MODEL_NAMES)
+    def test_steps_at_the_bound_of_its_grid(self, model):
+        u0 = ScalarField(normalized_disk().data, spacing=0.5)
+        phi0 = ScalarField(signed_distance(InitShape.circle(32, 32, 10), 64, 64).data,
+                           spacing=0.5)
+        params = EvolveParams(max_iters=2)
+        assert evolve(model, u0, phi0, params).dt_used == stability_dt(params, model, 0.5)
+
+    @pytest.mark.parametrize("model", models.MODEL_NAMES)
+    @pytest.mark.parametrize("max_iters", [0, 30])
+    def test_phi0_is_read_only_and_not_shared(self, model, max_iters):
+        u0 = normalized_disk()
+        phi0 = signed_distance(InitShape.circle(30, 33, 8), 64, 64)
+        before = phi0.data.tobytes()
+        res = evolve(model, u0, phi0,
+                     EvolveParams(max_iters=max_iters, reinit_every=10, stop_tol=0.0))
+        assert res.iterations_run == max_iters
+        assert phi0.data.tobytes() == before
+        assert not np.shares_memory(res.phi_final.data, phi0.data)
 
     def test_mask_matches_phi_sign(self):
         u0 = normalized_disk()
@@ -550,7 +568,7 @@ class TestTraceCsv:
         assert lines[0] == "iter,energy,c1_or_alphaM,c2,event"
         first = lines[1].split(",")
         assert first[0] == "0" and first[2] == "" and first[3] == ""
-        assert first[4] in ("step", "clamp")
+        assert first[4] == "step"
 
     def test_modified_records_alpha_target(self):
         u0 = normalized_disk()
