@@ -337,9 +337,10 @@ def _result(shape: tuple, out: np.ndarray | None) -> np.ndarray:
 
 def edge_detector(z, *, out: np.ndarray | None = None):
     """g(z) = 1 / (1 + z^2) for z >= 0: equals 1 on flat regions and decays
-    toward 0 where the (smoothed) image gradient is large; on the [0, 1]
-    phantoms of the benchmark it stays >= 0.949. Accepts scalars or arrays;
-    an array result is written into ``out`` when given.
+    toward 0 where the (smoothed) image gradient is large. On the unscaled
+    gradient of the benchmark's [0, 1] phantoms it stays >= 0.949, which is
+    why solver.evolve first divides the gradient by its own level. Accepts
+    scalars or arrays; an array result is written into ``out`` when given.
     """
     z = np.asarray(z, dtype=np.float64)
     out = rowwise(_edge_detector_rows, _result(z.shape, out), z)
@@ -384,7 +385,9 @@ class Scratch:
     - geodesic_flow_rhs builds g, grad g, grad phi and |grad phi| in arrays
       0-4, once curvature has returned;
     - energy_region and energy_geodesic use arrays 1-4 (energy_geodesic
-      array 0 as well).
+      array 0 as well);
+    - before a geodesic run's first step, solver._edge_image takes the
+      smoothed image's gradient magnitude in arrays 0-2.
 
     Apart from that H, no kernel returns one of these arrays.
 

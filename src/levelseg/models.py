@@ -248,8 +248,8 @@ def geodesic_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> Sca
     """Geodesic active-contour flow g*kappa*|grad phi| + <grad g, grad phi>.
 
     u0 is expected pre-smoothed (grid.gaussian_smooth) so the edge detector
-    sees finite gradients on noisy imagery. On [0, 1] phantoms g stays >= 0.949
-    (grid.edge_detector), so the flow barely slows and runs to max_iters.
+    sees finite gradients on noisy imagery; solver.evolve also divides it by
+    its gradient level, so that g falls toward 0 at the edges.
     """
     _check_dims(u0, phi)
     return phi.like(geodesic_flow_rhs(u0, phi, params))

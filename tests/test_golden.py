@@ -3,13 +3,20 @@ image must reproduce the recorded result, so that a refactor or a speed-up
 can show it did not change behaviour.
 
 The golden in data/evolve_golden.npz was recorded before the region models
-were merged into one policy (models.region_terms). To re-record it on
-purpose, after a change that is meant to alter results:
+were merged into one policy (models.region_terms). Its geodesic entries were
+re-recorded when the geodesic flow's edge detector began dividing the
+gradient by the image's own gradient level (solver._edge_image). To
+re-record it on purpose, after a change that is meant to alter results,
+for every model or only for the models named:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [model ...]
+
+The entries of the models not named are kept byte for byte: the floats of a
+run differ in the last bits across CPUs, so a fresh run would move them.
 """
 
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -77,8 +84,15 @@ def test_evolve_matches_golden(model, golden):
 
 
 if __name__ == "__main__":
+    models = sys.argv[1:] or MODEL_NAMES
+    if not set(models) <= set(MODEL_NAMES):
+        sys.exit(f"unknown model in {models}, expected names from {MODEL_NAMES}")
+    entries = {}
+    if GOLDEN.exists():
+        with np.load(GOLDEN) as data:
+            entries = {key: data[key] for key in data.files}
+    entries.update({f"{model}/{key}": value
+                    for model in models for key, value in run_model(model).items()})
     GOLDEN.parent.mkdir(exist_ok=True)
-    np.savez_compressed(GOLDEN, **{f"{model}/{key}": value
-                                   for model in MODEL_NAMES
-                                   for key, value in run_model(model).items()})
-    print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
+    np.savez_compressed(GOLDEN, **entries)
+    print(f"wrote {', '.join(models)} to {GOLDEN} ({GOLDEN.stat().st_size} bytes)")

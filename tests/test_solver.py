@@ -6,7 +6,17 @@ import pytest
 import scipy.ndimage as ndi
 
 from levelseg import models
-from levelseg.grid import ScalarField, curvature, heaviside_eps
+from levelseg.grid import (
+    ScalarField,
+    Scratch,
+    curvature,
+    edge_detector,
+    gaussian_smooth,
+    gradient,
+    gradient_magnitude,
+    heaviside_eps,
+    magnitude,
+)
 from levelseg.levelset import (
     InitShape,
     default_seed_grid,
@@ -16,7 +26,9 @@ from levelseg.levelset import (
 )
 from levelseg.models import EvolveParams
 from levelseg.solver import (
+    EDGE_PERCENTILE,
     SegmentationResult,
+    _edge_image,
     _interface_motion,
     evolve,
     stability_dt,
@@ -29,6 +41,30 @@ from helpers import hausdorff
 def normalized_disk(width=64, height=64, cx=32.0, cy=32.0, r=10.0):
     x, y = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
     return ScalarField(np.where(np.hypot(x - cx, y - cy) <= r, 1.0, 0.0))
+
+
+def three_disc_image():
+    """A noisy 128^2 image of three discs of intensity 0.7-0.9 on 0.1,
+    min-max normalized, and its truth mask."""
+    y, x = np.mgrid[0:128, 0:128].astype(float)
+    u = np.full((128, 128), 0.1)
+    truth = np.zeros((128, 128), dtype=bool)
+    for cx, cy, r, level in ((36, 40, 14, 0.9), (88, 36, 10, 0.7), (64, 92, 18, 0.8)):
+        disc = np.hypot(x - cx, y - cy) <= r
+        u[disc] = level
+        truth |= disc
+    u += np.random.default_rng(4).normal(0.0, 0.08, u.shape)
+    return ScalarField((u - u.min()) / (u.max() - u.min())), truth
+
+
+def grown_start(mask, px=4.0):
+    """Euclidean signed distance of ``mask`` grown by ``px``, positive inside."""
+    grown = ndi.distance_transform_edt(~mask) <= px
+    return ScalarField(ndi.distance_transform_edt(grown) - ndi.distance_transform_edt(~grown))
+
+
+def iou(a, b):
+    return (a & b).sum() / (a | b).sum()
 
 
 class TestStabilityDt:
@@ -149,7 +185,7 @@ class TestEvolveBasics:
         phi0 = signed_distance(default_seed_grid(n, n), n, n)
         res = evolve("modified", ScalarField(u), phi0, EvolveParams())
         assert res.stop_reason == "converged"
-        assert (res.mask & truth).sum() / (res.mask | truth).sum() >= 0.95
+        assert iou(res.mask, truth) >= 0.95
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stalled_on_blowup(self):
@@ -203,11 +239,10 @@ class TestEvolveBasics:
         # from the signed distance of the disk grown by 4 px the geodesic flow
         # moves the zero level ~0.025 px per iteration while pixels flip only
         # at iterations 4 and 11, so a rule counting flipped pixels would stop
-        # this run at iteration 9
-        u0 = normalized_disk()
-        grown = ndi.distance_transform_edt(u0.data == 0.0) <= 4.0
-        phi0 = ScalarField(ndi.distance_transform_edt(grown) - ndi.distance_transform_edt(~grown))
-        res = evolve("geodesic", u0, phi0, EvolveParams(max_iters=15))
+        # this run at iteration 9. The disc's edges cover under a tenth of
+        # the 96^2 pixels, so the edge image is unscaled (_edge_image)
+        u0 = normalized_disk(96, 96, 48.0, 48.0, 10.0)
+        res = evolve("geodesic", u0, grown_start(u0.data > 0.0), EvolveParams(max_iters=15))
         assert res.stop_reason == "max_iters"
         assert res.iterations_run == 15
 
@@ -224,7 +259,7 @@ class TestEvolveBasics:
         res = evolve("modified", u0, phi0, EvolveParams(mu=0.2, max_iters=1500))
         assert res.stop_reason == "converged"
         assert res.iterations_run < 300
-        assert (res.mask & truth).sum() / (res.mask | truth).sum() >= 0.95
+        assert iou(res.mask, truth) >= 0.95
 
     def test_determinism(self):
         u0 = normalized_disk()
@@ -291,6 +326,51 @@ class TestEvolveBasics:
             phi0 = signed_distance(InitShape.circle(32, 32, 14), 64, 64)
             res = evolve(model, u0, phi0, EvolveParams(max_iters=60))
             assert np.all(np.isfinite(res.phi_final.data)), model
+
+
+class TestEdgeImage:
+    """The geodesic image: G*u0 divided by its gradient level beta."""
+
+    def test_flow_stops_at_the_edges(self):
+        # unscaled, g stays near 1 on [0, 1] input and this run ends
+        # max_iters at IoU ~0.59
+        u0, truth = three_disc_image()
+        res = evolve("geodesic", u0, grown_start(truth), EvolveParams(mu=0.2, max_iters=400))
+        score = iou(res.mask, truth)
+        print(f"geodesic from the grown truth: IoU {score:.4f} after "
+              f"{res.iterations_run} iterations ({res.stop_reason})")
+        assert res.stop_reason == "converged"
+        assert score >= 0.98
+        # the advection term <grad g, grad phi> moves the zero level by at
+        # most dt * max|grad g| px per step, with |grad phi| ~ 1
+        edge = _edge_image(u0, Scratch(u0.data.shape))
+        g = edge_detector(gradient_magnitude(edge.data))
+        assert res.dt_used * magnitude(*gradient(g)).max() < 0.5
+
+    def test_contrast_does_not_change_the_run(self):
+        # a power-of-two factor passes exactly through the smoothing, the
+        # gradients, the percentile and the division by beta
+        u0, truth = three_disc_image()
+        params = EvolveParams(mu=0.2, max_iters=60, stop_tol=0.0)
+        runs = [evolve("geodesic", u, grown_start(truth), params).phi_final.data
+                for u in (u0, u0.like(0.5 * u0.data))]
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_gradient_level_is_one(self):
+        u0, _ = three_disc_image()
+        edge = _edge_image(u0, Scratch(u0.data.shape))
+        level = np.percentile(gradient_magnitude(edge.data), EDGE_PERCENTILE)
+        assert level == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("image", [
+        np.full((128, 128), 0.5),
+        # edges on ~7 % of the pixels: the 90th percentile of |grad| is 0
+        normalized_disk(128, 128, 64.0, 64.0, 25.0).data,
+    ], ids=["constant", "clean_disc"])
+    def test_unscaled_without_a_gradient_level(self, image):
+        u0 = ScalarField(image)
+        edge = _edge_image(u0, Scratch(image.shape))
+        assert edge.data.tobytes() == gaussian_smooth(u0).data.tobytes()
 
 
 def degenerate_case(case):
