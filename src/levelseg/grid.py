@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import numbers
 import os
 import queue
 import threading
@@ -165,6 +166,8 @@ class ScalarField:
     spacing: float = 1.0
 
     def __post_init__(self):
+        if np.iscomplexobj(self.data):  # float64 would drop the imaginary part
+            raise ValueError("field data must be real, got complex values")
         # row-major, so that the stencils can run over the rows as one flat run
         arr = np.asarray(self.data, dtype=np.float64, order="C")
         if arr.ndim != 2:
@@ -241,26 +244,17 @@ def _magnitude_rows(m, dx, dy, dy_squared):
         m[bad] = np.hypot(dx[bad], y)
 
 
-def _exact_reciprocal(d: float) -> float | None:
-    # 1 / d when d = 2^k and 1 / d is a float: then a * (1 / d) rounds to
-    # the same bits as a / d. None for any other d.
-    mantissa, exponent = math.frexp(d)
-    if mantissa == 0.5 and exponent > -1021:
-        return 1.0 / d
-    return None
-
-
 def divide_by(a: np.ndarray, d: float) -> None:
     """a /= d in place, for a positive constant d. When d is a power of two
-    its reciprocal is exact, so a * (1 / d) rounds to the same bits as
+    whose reciprocal is a float, a * (1 / d) rounds to the same bits as
     a / d, and a multiply costs about a third of a divide (nothing when d
     is 1); that is how the stencils divide by 2h, h^2 or 4h^2.
     """
-    r = _exact_reciprocal(d)
-    if r is None:
+    mantissa, exponent = math.frexp(d)
+    if mantissa != 0.5 or exponent <= -1021:
         a /= d
-    elif r != 1.0:
-        a *= r
+    elif d != 1.0:
+        a *= 1.0 / d
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -583,6 +577,12 @@ def _curvature_rows(phi, h, s, run, lo, hi):
     np.clip(k, -bound, bound, out=k)
 
 
+def _check_count(name: str, value, low: int = 0) -> None:
+    # an integer >= low; numpy integers pass, bools and floats do not
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _positive_eps(eps) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     if not np.all(eps > 0):
@@ -594,26 +594,18 @@ def heaviside_eps(z, eps, *, out: np.ndarray | None = None):
     """Smooth step H_eps(z) = 1/2 (1 + (2/pi) arctan(z/eps)): strictly
     increasing, H_eps(0) = 1/2, limits 0 and 1. Accepts scalars or arrays;
     an array result is written into ``out`` when given, in the operation
-    order of the formula. A scalar eps divides as divide_by does: not at
-    all when it is 1, by the exact reciprocal when it is a power of two.
+    order of the formula. A scalar eps of 1 skips the quotient z / eps,
+    which is z itself.
     """
     eps = _positive_eps(eps)
     z = np.asarray(z, dtype=np.float64)
     out = _result(np.broadcast_shapes(z.shape, eps.shape), out)
-    reciprocal = None if eps.ndim else _exact_reciprocal(float(eps))
-    rowwise(_heaviside_rows, out, z, eps, reciprocal)
+    rowwise(_heaviside_rows, out, z, None if eps.ndim == 0 and eps == 1.0 else eps)
     return out if out.ndim else float(out)
 
 
-def _heaviside_rows(out, z, eps, reciprocal):
-    if reciprocal == 1.0:
-        np.arctan(z, out=out)
-    else:
-        if reciprocal is None:
-            np.divide(z, eps, out=out)
-        else:
-            np.multiply(z, reciprocal, out=out)
-        np.arctan(out, out=out)
+def _heaviside_rows(out, z, eps):
+    np.arctan(z if eps is None else np.divide(z, eps, out=out), out=out)
     out *= 2.0 / math.pi
     out += 1.0
     out *= 0.5

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, Scratch, divide_by, rowwise, split_rows
+from .grid import ScalarField, Scratch, _check_count, divide_by, rowwise, split_rows
 
 BORDER_MARGIN = 2.0  # init shapes must keep this many pixels of clearance
 PERIOD = 5.0  # px, of the periodic shape (Getreuer, "Chan-Vese Segmentation", IPOL 2012)
@@ -24,31 +24,32 @@ PERIOD = 5.0  # px, of the periodic shape (Getreuer, "Chan-Vese Segmentation", I
 
 @dataclass(frozen=True)
 class InitShape:
-    """Initial-contour geometry: circle, circle grid, rectangle or periodic.
+    """Initial-contour geometry: circles of one radius, a rectangle, or the
+    periodic shape.
 
     Coordinates are pixel units, x along columns and y along rows.
     """
 
-    kind: str
-    centers: tuple = ()          # circle / grid: ((cx, cy), ...)
-    radius: float = 0.0          # circle / grid
+    kind: str                    # circles | rect | periodic
+    centers: tuple = ()          # circles: ((cx, cy), ...)
+    radius: float = 0.0          # circles
     corners: tuple = ()          # rect: (x0, y0, x1, y1)
 
     @classmethod
     def circle(cls, cx: float, cy: float, radius: float) -> "InitShape":
-        return cls(kind="circle", centers=((float(cx), float(cy)),), radius=float(radius))
+        return cls(kind="circles", centers=((float(cx), float(cy)),), radius=float(radius))
 
     @classmethod
     def circle_grid(cls, nx: int, ny: int, radius: float, width: int, height: int) -> "InitShape":
         """nx * ny circles evenly spread over a width x height grid."""
-        if nx < 1 or ny < 1:
-            raise ValueError(f"grid counts must be >= 1, got {nx}x{ny}")
+        _check_count("nx", nx, 1)
+        _check_count("ny", ny, 1)
         centers = tuple(
             ((i + 0.5) * width / nx, (j + 0.5) * height / ny)
             for j in range(ny)
             for i in range(nx)
         )
-        return cls(kind="grid", centers=centers, radius=float(radius))
+        return cls(kind="circles", centers=centers, radius=float(radius))
 
     @classmethod
     def rectangle(cls, x0: float, y0: float, x1: float, y1: float) -> "InitShape":
@@ -61,29 +62,27 @@ class InitShape:
         return cls(kind="periodic")
 
     def validate(self, width: int, height: int) -> None:
-        """Circles and rectangles must fit strictly inside the grid with a
-        2-pixel margin; the periodic shape fits any grid."""
-        lo_x, lo_y = BORDER_MARGIN, BORDER_MARGIN
-        hi_x, hi_y = width - 1 - BORDER_MARGIN, height - 1 - BORDER_MARGIN
-        if self.kind in ("circle", "grid"):
+        """The bounding box (x0, y0, x1, y1) of each circle and of a
+        rectangle must fit strictly inside the grid with a 2-pixel margin;
+        the periodic shape fits any grid."""
+        if self.kind == "circles":
             if not (self.radius > 0):
                 raise ValueError(f"radius must be positive, got {self.radius}")
-            for cx, cy in self.centers:
-                if (cx - self.radius < lo_x or cx + self.radius > hi_x
-                        or cy - self.radius < lo_y or cy + self.radius > hi_y):
-                    raise ValueError(
-                        f"circle at ({cx:.1f}, {cy:.1f}) r={self.radius:.1f} does not fit a "
-                        f"{width}x{height} grid with a {BORDER_MARGIN:.0f}px margin"
-                    )
+            r = self.radius
+            boxes = [(cx - r, cy - r, cx + r, cy + r) for cx, cy in self.centers]
         elif self.kind == "rect":
-            x0, y0, x1, y1 = self.corners
-            if x0 < lo_x or y0 < lo_y or x1 > hi_x or y1 > hi_y:
-                raise ValueError(
-                    f"rectangle {self.corners} does not fit a {width}x{height} grid "
-                    f"with a {BORDER_MARGIN:.0f}px margin"
-                )
-        elif self.kind != "periodic":
+            boxes = [self.corners]
+        elif self.kind == "periodic":
+            return
+        else:
             raise ValueError(f"unknown init shape kind: {self.kind!r}")
+        hi_x, hi_y = width - 1 - BORDER_MARGIN, height - 1 - BORDER_MARGIN
+        for x0, y0, x1, y1 in boxes:
+            if x0 < BORDER_MARGIN or y0 < BORDER_MARGIN or x1 > hi_x or y1 > hi_y:
+                raise ValueError(
+                    f"{self.kind} box ({x0:.1f}, {y0:.1f}, {x1:.1f}, {y1:.1f}) does not fit "
+                    f"a {width}x{height} grid with a {BORDER_MARGIN:.0f}px margin"
+                )
 
 
 def default_seed_grid(width: int, height: int) -> InitShape:
@@ -111,7 +110,7 @@ def signed_distance(shape: InitShape, width: int, height: int) -> ScalarField:
         wave = np.sin(np.arange(max(width, height), dtype=np.float64) * (math.pi / p))
         return ScalarField(np.multiply.outer(wave[:height] * (p / math.pi), wave[:width]))
     x, y = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    if shape.kind in ("circle", "grid"):
+    if shape.kind == "circles":
         phi = np.full((height, width), -np.inf)
         for cx, cy in shape.centers:
             np.maximum(phi, shape.radius - np.hypot(x - cx, y - cy), out=phi)
@@ -163,8 +162,7 @@ def reinitialize(phi: ScalarField, iterations: int, *,
     in a second split, once every slab has taken its differences; the
     result has the bits of a sweep over the whole array.
     """
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    _check_count("iterations", iterations)
     h = phi.spacing
     d0 = phi.data
     s = Scratch.ensure(scratch, d0.shape)

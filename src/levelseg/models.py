@@ -13,7 +13,6 @@ scale-agnostic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -22,6 +21,7 @@ import numpy as np
 from .grid import (
     ScalarField,
     Scratch,
+    _check_count,
     _magnitude_rows,
     curvature,
     delta_eps,
@@ -77,20 +77,17 @@ class EvolveParams:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if not (self.stop_tol >= 0):  # NaN fails; inf makes every iteration still
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
-        for name in ("max_iters", "reinit_every"):
-            value = getattr(self, name)
-            # Integral, so that numpy integers pass
-            if not isinstance(value, numbers.Integral) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        _check_count("max_iters", self.max_iters)
+        _check_count("reinit_every", self.reinit_every)
 
 
 @dataclass
 class RegionStats:
     """Region constants of the current partition: c1 inside, c2 outside,
     the pixel counts of {phi >= 0} and {phi < 0}, and the global intensity
-    maximum used by the modified model's inside target. Empty regions fall
-    back to the global mean and are flagged. region_terms turns them into the
-    constants a region model steps with.
+    maximum used by the modified model's inside target. An empty region has
+    the global mean as its constant and a count of 0, which its flag reads.
+    region_terms turns them into the constants a region model steps with.
 
     region_averages gives c1 and c2 as plain means over {phi >= 0} and
     {phi < 0}; weighted_averages replaces them with the H_eps-weighted means
@@ -102,8 +99,14 @@ class RegionStats:
     n_inside: int
     n_outside: int
     max_intensity: float
-    empty_inside: bool = False
-    empty_outside: bool = False
+
+    @property
+    def empty_inside(self) -> bool:
+        return self.n_inside == 0
+
+    @property
+    def empty_outside(self) -> bool:
+        return self.n_outside == 0
 
 
 def _check_dims(u0: ScalarField, phi: ScalarField) -> None:
@@ -127,7 +130,7 @@ def region_averages(u0: ScalarField, phi: ScalarField, *,
     """Mean intensity inside {phi >= 0} and outside {phi < 0}.
 
     A transiently empty region gets the global mean instead of NaN so the
-    evolution can continue; the flag records the degeneracy. The global
+    evolution can continue; its count of 0 records the degeneracy. The global
     mean and max come from ``scratch`` when given, which computes them once
     per image.
     """
@@ -148,8 +151,6 @@ def region_averages(u0: ScalarField, phi: ScalarField, *,
         n_inside=n_in,
         n_outside=n_out,
         max_intensity=max_intensity,
-        empty_inside=n_in == 0,
-        empty_outside=n_out == 0,
     )
 
 
@@ -164,8 +165,11 @@ def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     the same phi need not compute it again. H and 1 - H are written into
     arrays 0 and 1 of ``scratch`` (a fresh set when None), and the H
     returned is array 0 of that set; energy_region can take array 1 as
-    not_H. Pixel counts and empty flags stay those of the hard partition in
-    ``stats``; a weight sum that underflows to 0 gives the global mean.
+    not_H. Pixel counts stay those of the hard partition in ``stats``. A
+    weight sum is 0 only when that region is empty, since H_eps >= 1/2
+    where phi >= 0 and 1 - H_eps >= 1/2 where phi < 0; its constant then
+    stays the one of ``stats``, which region_averages sets to the global
+    mean.
     """
     u = u0.data.ravel()
     H, not_H = Scratch.ensure(scratch, u0.data.shape).arrays[:2]
@@ -173,8 +177,8 @@ def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     rowwise(_complement_rows, not_H, H)
     w_in, w_out = H.ravel(), not_H.ravel()
     sum_in, sum_out = float(w_in.sum()), float(w_out.sum())
-    c1 = _dot(u, w_in) / sum_in if sum_in > 0 else float(u.mean())
-    c2 = _dot(u, w_out) / sum_out if sum_out > 0 else float(u.mean())
+    c1 = _dot(u, w_in) / sum_in if sum_in > 0 else stats.c1
+    c2 = _dot(u, w_out) / sum_out if sum_out > 0 else stats.c2
     return replace(stats, c1=c1, c2=c2), H
 
 
@@ -319,19 +323,19 @@ def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
 
 
 def energy_chan_vese(u0: ScalarField, phi: ScalarField, stats: RegionStats,
-                     params: EvolveParams, H: Optional[np.ndarray] = None) -> float:
+                     params: EvolveParams) -> float:
     """energy_region with the Chan-Vese constants (c1, c2) and weight lam."""
     _check_dims(u0, phi)
-    return energy_region(u0, phi, *region_terms("chan_vese", stats, params), params, H)
+    return energy_region(u0, phi, *region_terms("chan_vese", stats, params), params)
 
 
 def energy_modified(u0: ScalarField, phi: ScalarField, stats: RegionStats,
-                    params: EvolveParams, H: Optional[np.ndarray] = None) -> float:
+                    params: EvolveParams) -> float:
     """energy_region of the modified model: inside constant frozen at
     alpha * max(u0), outside constant c2, no lambda weighting.
     """
     _check_dims(u0, phi)
-    return energy_region(u0, phi, *region_terms("modified", stats, params), params, H)
+    return energy_region(u0, phi, *region_terms("modified", stats, params), params)
 
 
 def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,

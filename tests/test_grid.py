@@ -54,6 +54,11 @@ class TestScalarField:
         with pytest.raises(ValueError):
             ScalarField(bad)
 
+    def test_rejects_complex_data(self):
+        # casting to float64 would drop the imaginary part, with a warning
+        with pytest.raises(ValueError, match="real"):
+            ScalarField(np.full((4, 4), 1.0 + 2.0j))
+
     def test_rejects_bad_spacing(self):
         for spacing in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -477,8 +482,8 @@ class TestWrittenIntoGivenArrays:
         z[1, 0] = -1.7e308
         return z
 
-    # eps = 1 skips the quotient, and a power of two multiplies by its
-    # reciprocal: both must give the bits of z / eps
+    # eps = 1 skips the quotient, and every other eps divides: both must
+    # give the bits of z / eps, also at the powers of two 0.5 and 2
     @pytest.mark.parametrize("eps", [0.3, 1.0, 2.5, 0.5, 2.0])
     @pytest.mark.parametrize("kernel, reference", [(heaviside_eps, heaviside_reference),
                                                    (delta_eps, delta_reference)])

@@ -48,6 +48,18 @@ class TestSignedDistance:
         ]
         assert np.array_equal(phi, np.max(singles, axis=0))
 
+    def test_one_circle_is_a_one_by_one_grid(self):
+        circle = InitShape.circle(30, 21, 7.5)
+        grid = InitShape.circle_grid(1, 1, 7.5, 60, 42)
+        assert circle == grid
+        assert (signed_distance(circle, 64, 48).data.tobytes()
+                == signed_distance(grid, 64, 48).data.tobytes())
+
+    @pytest.mark.parametrize("nx, ny", [(0, 2), (2, 0), (2.5, 2), (2, 2.0), (True, 2)])
+    def test_circle_grid_rejects_counts_that_are_not_integers_from_1(self, nx, ny):
+        with pytest.raises(ValueError):
+            InitShape.circle_grid(nx, ny, 4, 64, 64)
+
     def test_rectangle_signs(self):
         phi = signed_distance(InitShape.rectangle(10, 10, 30, 24), 48, 40).data
         assert phi[17, 20] > 0          # interior
@@ -419,6 +431,12 @@ class TestReinitialize:
         phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32)
         with pytest.raises(ValueError):
             reinitialize(phi, iterations=-1)
+
+    @pytest.mark.parametrize("iterations", [True, 2.5, 3.0])
+    def test_rejects_iterations_that_are_not_integers(self, iterations):
+        phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32)
+        with pytest.raises(ValueError):
+            reinitialize(phi, iterations=iterations)
 
 
 class TestContourCsv:

@@ -70,6 +70,8 @@ class TestEvolveParams:
             {"eps": float("nan")},
             {"eps": float("inf")},
             {"stop_tol": float("nan")},
+            {"max_iters": True},
+            {"reinit_every": False},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -107,6 +109,13 @@ class TestRegionAverages:
         assert stats.empty_outside and not stats.empty_inside
         assert stats.c2 == pytest.approx(float(u0.data.mean()))
         assert stats.n_outside == 0
+
+    @pytest.mark.parametrize("n_inside, n_outside", [(0, 12), (12, 0), (0, 0), (5, 7)])
+    def test_empty_flags_read_the_counts(self, n_inside, n_outside):
+        stats = RegionStats(c1=0.5, c2=0.5, n_inside=n_inside, n_outside=n_outside,
+                            max_intensity=1.0)
+        assert stats.empty_inside == (n_inside == 0)
+        assert stats.empty_outside == (n_outside == 0)
 
     @pytest.mark.parametrize("phi", [ScalarField(np.zeros((8, 9))),
                                      ScalarField(np.zeros((8, 8)), spacing=0.25)],

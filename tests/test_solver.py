@@ -550,7 +550,7 @@ def motion_pair(case):
         return phi0.data, res.phi_final.data
     if case == "shifted circles":
         circles = InitShape.circle_grid(2, 2, 6.3, 48, 40)
-        shifted = InitShape("grid", tuple((x + 0.37, y - 0.21) for x, y in circles.centers),
+        shifted = InitShape("circles", tuple((x + 0.37, y - 0.21) for x, y in circles.centers),
                             circles.radius)
         return signed_distance(circles, 48, 40).data, signed_distance(shifted, 48, 40).data
     if case == "noise with zeros":
@@ -636,6 +636,10 @@ class TestRegionConstants:
         res = evolve("chan_vese", u0, phi0, EvolveParams(max_iters=0))
         assert res.stats_final.empty_inside
         assert res.stats_final.c1 == pytest.approx(u0.data.mean())
+        # and H rounds to exactly 1, so the outside weight sum is 0
+        res = evolve("chan_vese", u0, phi0.like(-phi0.data), EvolveParams(max_iters=0))
+        assert res.stats_final.empty_outside and not res.stats_final.empty_inside
+        assert res.stats_final.c2 == pytest.approx(u0.data.mean())
 
 
 class TestTraceCsv:
