@@ -1,8 +1,8 @@
 """Level-set function construction and maintenance.
 
 Sign convention used throughout the package: phi >= 0 is *inside* the
-contour. Initializers build signed-distance fields for circles, circle
-grids and rectangles, and a periodic field; ``reinitialize`` restores
+contour. ``signed_distance`` checks and builds phi0 for the two initial
+shapes, circles and the periodic field; ``reinitialize`` restores
 |grad phi| ~ 1 without moving the zero level; ``extract_contour`` traces
 the zero level as subpixel polylines via marching squares.
 """
@@ -24,16 +24,14 @@ PERIOD = 5.0  # px, of the periodic shape (Getreuer, "Chan-Vese Segmentation", I
 
 @dataclass(frozen=True)
 class InitShape:
-    """Initial-contour geometry: circles of one radius, a rectangle, or the
-    periodic shape.
+    """Initial-contour geometry: circles of one radius, or the periodic shape.
 
     Coordinates are pixel units, x along columns and y along rows.
     """
 
-    kind: str                    # circles | rect | periodic
+    kind: str                    # circles | periodic
     centers: tuple = ()          # circles: ((cx, cy), ...)
     radius: float = 0.0          # circles
-    corners: tuple = ()          # rect: (x0, y0, x1, y1)
 
     @classmethod
     def circle(cls, cx: float, cy: float, radius: float) -> "InitShape":
@@ -51,39 +49,6 @@ class InitShape:
         )
         return cls(kind="circles", centers=centers, radius=float(radius))
 
-    @classmethod
-    def rectangle(cls, x0: float, y0: float, x1: float, y1: float) -> "InitShape":
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError(f"rectangle corners must satisfy x1 > x0, y1 > y0: {(x0, y0, x1, y1)}")
-        return cls(kind="rect", corners=(float(x0), float(y0), float(x1), float(y1)))
-
-    @classmethod
-    def periodic(cls) -> "InitShape":
-        return cls(kind="periodic")
-
-    def validate(self, width: int, height: int) -> None:
-        """The bounding box (x0, y0, x1, y1) of each circle and of a
-        rectangle must fit strictly inside the grid with a 2-pixel margin;
-        the periodic shape fits any grid."""
-        if self.kind == "circles":
-            if not (self.radius > 0):
-                raise ValueError(f"radius must be positive, got {self.radius}")
-            r = self.radius
-            boxes = [(cx - r, cy - r, cx + r, cy + r) for cx, cy in self.centers]
-        elif self.kind == "rect":
-            boxes = [self.corners]
-        elif self.kind == "periodic":
-            return
-        else:
-            raise ValueError(f"unknown init shape kind: {self.kind!r}")
-        hi_x, hi_y = width - 1 - BORDER_MARGIN, height - 1 - BORDER_MARGIN
-        for x0, y0, x1, y1 in boxes:
-            if x0 < BORDER_MARGIN or y0 < BORDER_MARGIN or x1 > hi_x or y1 > hi_y:
-                raise ValueError(
-                    f"{self.kind} box ({x0:.1f}, {y0:.1f}, {x1:.1f}, {y1:.1f}) does not fit "
-                    f"a {width}x{height} grid with a {BORDER_MARGIN:.0f}px margin"
-                )
-
 
 def default_seed_grid(width: int, height: int) -> InitShape:
     """The default initializer, for a grid of any size: the periodic shape,
@@ -93,7 +58,7 @@ def default_seed_grid(width: int, height: int) -> InitShape:
     structure lies between seeds, as between the circles of a circle grid.
     The arguments are unused: every grid gets the same shape.
     """
-    return InitShape.periodic()
+    return InitShape("periodic")
 
 
 def signed_distance(shape: InitShape, width: int, height: int) -> ScalarField:
@@ -102,26 +67,33 @@ def signed_distance(shape: InitShape, width: int, height: int) -> ScalarField:
     pointwise max over the per-circle distances.
     The periodic shape gives phi0 = (p/pi) sin(pi x/p) sin(pi y/p) with
     p = PERIOD: 1-Lipschitz, |phi0| <= p/pi, signed-distance-like only near
-    phi0 = 0.
+    phi0 = 0, and fits any grid. Circles need a centre, a finite radius > 0,
+    and each must fit in the grid with a BORDER_MARGIN-pixel margin (so no
+    centre is NaN or infinite); any other shape raises ValueError.
     """
-    shape.validate(width, height)
     if shape.kind == "periodic":
         p = PERIOD
         wave = np.sin(np.arange(max(width, height), dtype=np.float64) * (math.pi / p))
         return ScalarField(np.multiply.outer(wave[:height] * (p / math.pi), wave[:width]))
+    if shape.kind != "circles":
+        raise ValueError(f"unknown init shape kind: {shape.kind!r}")
+    r = shape.radius
+    if not (0 < r < math.inf):
+        raise ValueError(f"circle radius must be finite and > 0, got {r}")
+    if not shape.centers:
+        raise ValueError("a circles shape needs at least one centre")
+    hi_x, hi_y = width - 1 - BORDER_MARGIN, height - 1 - BORDER_MARGIN
+    for cx, cy in shape.centers:
+        if not (BORDER_MARGIN <= cx - r and cx + r <= hi_x
+                and BORDER_MARGIN <= cy - r and cy + r <= hi_y):
+            raise ValueError(
+                f"circle ({cx}, {cy}) of radius {r} does not fit a {width}x{height} "
+                f"grid with a {BORDER_MARGIN:.0f}px margin"
+            )
     x, y = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    if shape.kind == "circles":
-        phi = np.full((height, width), -np.inf)
-        for cx, cy in shape.centers:
-            np.maximum(phi, shape.radius - np.hypot(x - cx, y - cy), out=phi)
-    else:
-        x0, y0, x1, y1 = shape.corners
-        # distance outside the box, and distance to the nearest side inside
-        dx_out = np.maximum(np.maximum(x0 - x, x - x1), 0.0)
-        dy_out = np.maximum(np.maximum(y0 - y, y - y1), 0.0)
-        outside = np.hypot(dx_out, dy_out)
-        inside = np.minimum(np.minimum(x - x0, x1 - x), np.minimum(y - y0, y1 - y))
-        phi = np.where(outside > 0, -outside, inside)
+    phi = np.full((height, width), -np.inf)
+    for cx, cy in shape.centers:
+        np.maximum(phi, r - np.hypot(x - cx, y - cy), out=phi)
     return ScalarField(phi)
 
 

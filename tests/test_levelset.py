@@ -60,18 +60,28 @@ class TestSignedDistance:
         with pytest.raises(ValueError):
             InitShape.circle_grid(nx, ny, 4, 64, 64)
 
-    def test_rectangle_signs(self):
-        phi = signed_distance(InitShape.rectangle(10, 10, 30, 24), 48, 40).data
-        assert phi[17, 20] > 0          # interior
-        assert phi[5, 20] < 0           # above the box
-        assert phi[17, 20] == pytest.approx(7.0)   # 7 px from the top edge
-        assert phi[17, 35] == pytest.approx(-5.0)  # 5 px right of the box
+    # each side of the margin alone, and the corner the left side catches first
+    @pytest.mark.parametrize("cx, cy", [(10, 10), (9, 32), (32, 9), (55, 32), (32, 55)],
+                             ids=["top-left", "left", "top", "right", "bottom"])
+    def test_rejects_border_touch(self, cx, cy):
+        with pytest.raises(ValueError, match=rf"circle \({cx}\.0, {cy}\.0\) of radius 9\.0"):
+            signed_distance(InitShape.circle(cx, cy, 9), 64, 64)
 
-    def test_rejects_border_touch(self):
-        with pytest.raises(ValueError):
-            signed_distance(InitShape.circle(10, 10, 9), 64, 64)
-        with pytest.raises(ValueError):
-            signed_distance(InitShape.rectangle(0, 0, 20, 20), 64, 64)
+    @pytest.mark.parametrize("shape, match", [
+        (InitShape.circle(np.nan, 20, 5), r"circle \(nan, 20\.0\)"),
+        (InitShape.circle(20, np.nan, 5), r"circle \(20\.0, nan\)"),
+        (InitShape.circle(np.inf, 20, 5), r"circle \(inf, 20\.0\)"),
+        (InitShape.circle(20, -np.inf, 5), r"circle \(20\.0, -inf\)"),
+        (InitShape.circle(20, 20, np.nan), r"circle radius .* got nan"),
+        (InitShape.circle(20, 20, np.inf), r"circle radius .* got inf"),
+        (InitShape.circle(20, 20, 0), r"circle radius .* got 0\.0"),
+        (InitShape("circles", (), 5.0), r"needs at least one centre"),
+        (InitShape("rect"), r"unknown init shape kind: 'rect'"),
+    ], ids=["nan-cx", "nan-cy", "inf-cx", "minus-inf-cy", "nan-radius", "inf-radius",
+            "zero-radius", "no-centres", "rect-kind"])
+    def test_rejects_shapes_that_cannot_be_drawn(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            signed_distance(shape, 40, 40)
 
     def test_one_lipschitz(self):
         phi = signed_distance(InitShape.circle_grid(3, 3, 5, 60, 60), 60, 60).data
@@ -83,7 +93,7 @@ class TestSignedDistance:
 
     def test_default_seed_grid(self):
         shape = default_seed_grid(128, 128)
-        assert shape == InitShape.periodic()
+        assert shape == InitShape("periodic")
         signed_distance(shape, 128, 128)  # needs no margin
 
     @pytest.mark.parametrize("width, height", [(64, 64), (100, 100), (64, 200), (300, 90)])
