@@ -10,7 +10,6 @@ the zero level as subpixel polylines via marching squares.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -69,8 +68,11 @@ def signed_distance(shape: InitShape, width: int, height: int) -> ScalarField:
     p = PERIOD: 1-Lipschitz, |phi0| <= p/pi, signed-distance-like only near
     phi0 = 0, and fits any grid. Circles need a centre, a finite radius > 0,
     and each must fit in the grid with a BORDER_MARGIN-pixel margin (so no
-    centre is NaN or infinite); any other shape raises ValueError.
+    centre is NaN or infinite). Any other shape, or a width or height that
+    is not an integer >= 3, raises ValueError.
     """
+    _check_count("width", width, 3)
+    _check_count("height", height, 3)
     if shape.kind == "periodic":
         p = PERIOD
         wave = np.sin(np.arange(max(width, height), dtype=np.float64) * (math.pi / p))
@@ -325,13 +327,3 @@ def extract_contour(phi: ScalarField) -> Contour:
             closed.append(two[start] >= 0)
 
     return Contour(loops=loops, closed=closed)
-
-
-def contour_csv(contour: Contour) -> str:
-    """CSV serialization: loop_id, vertex_id, x, y with 4 decimal places."""
-    out = io.StringIO()
-    out.write("loop_id,vertex_id,x,y\n")
-    for li, pts in enumerate(contour.loops):
-        for vi, (x, y) in enumerate(pts):
-            out.write(f"{li},{vi},{x:.4f},{y:.4f}\n")
-    return out.getvalue()

@@ -341,7 +341,7 @@ def energy_modified(u0: ScalarField, phi: ScalarField, stats: RegionStats,
 def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
                     scratch: Optional[Scratch] = None) -> float:
     """Discrete edge-weighted contour length sum(g * delta_eps(phi) * |grad phi|) h^2;
-    the quantity the geodesic flow shortens. Used for trace/stopping only.
+    the quantity the geodesic flow shortens. Used for the trace only.
     The fields are built in the arrays of ``scratch`` (a fresh set when
     None), and the sum is a dot product.
     """

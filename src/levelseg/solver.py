@@ -13,8 +13,7 @@ raising or warning.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,12 +74,17 @@ class TraceEntry:
 
 @dataclass
 class SegmentationResult:
+    """One evolve run: phi_final and its contour, an energy_trace row per
+    iteration from 0, stats_final at phi_final, iterations_run steps of
+    dt_used, and stop_reason: 'converged', 'max_iters' or 'stalled' (phi
+    went non-finite; diagnostics says where)."""
+
     phi_final: ScalarField
     contour: Contour
     energy_trace: list
     stats_final: RegionStats
     iterations_run: int
-    stop_reason: str  # converged | max_iters | stalled
+    stop_reason: str
     dt_used: float
     diagnostics: Optional[str] = None
 
@@ -89,6 +93,19 @@ class SegmentationResult:
         """{phi_final >= 0}, built on each access through levelset: tracers
         of evolve wrap this module's name mask_inside."""
         return levelset.mask_inside(self.phi_final)
+
+    def to_json(self) -> str:
+        """Every field but phi_final as one JSON object, the contour as its
+        [x, y] loops and closed flags. Floats are written by repr, so they
+        read back bit-equal; a NaN energy is written NaN."""
+        import json  # numpy has loaded it
+        return json.dumps({
+            "stop_reason": self.stop_reason, "iterations_run": self.iterations_run,
+            "dt_used": self.dt_used, "diagnostics": self.diagnostics,
+            "stats_final": asdict(self.stats_final),
+            "energy_trace": [asdict(e) for e in self.energy_trace],
+            "contour": {"loops": [loop.tolist() for loop in self.contour.loops],
+                        "closed": self.contour.closed}})
 
 
 def stability_dt(params: EvolveParams, model: str, spacing: float = 1.0) -> float:
@@ -260,14 +277,3 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
 def _advance_rows(rhs, dt, phi):
     rhs *= dt
     rhs += phi
-
-
-def trace_csv(trace) -> str:
-    """CSV serialization: iter,energy,c1_or_alphaM,c2,event."""
-    out = io.StringIO()
-    out.write("iter,energy,c1_or_alphaM,c2,event\n")
-    for e in trace:
-        ci = "" if e.c_inside is None else f"{e.c_inside:.9g}"
-        co = "" if e.c_outside is None else f"{e.c_outside:.9g}"
-        out.write(f"{e.iteration},{e.energy:.9g},{ci},{co},{e.event}\n")
-    return out.getvalue()

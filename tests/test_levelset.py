@@ -8,7 +8,6 @@ from levelseg.levelset import (
     PERIOD,
     Contour,
     InitShape,
-    contour_csv,
     default_seed_grid,
     edge_crossings,
     extract_contour,
@@ -82,6 +81,21 @@ class TestSignedDistance:
     def test_rejects_shapes_that_cannot_be_drawn(self, shape, match):
         with pytest.raises(ValueError, match=match):
             signed_distance(shape, 40, 40)
+
+    @pytest.mark.parametrize("shape", [InitShape("periodic"), InitShape.circle(20, 20, 5)],
+                             ids=["periodic", "circle"])
+    @pytest.mark.parametrize("width, height, match", [
+        (-5, 64, r"width must be an integer >= 3, got -5"),
+        (64, 0, r"height must be an integer >= 3, got 0"),
+        (2, 64, r"width must be an integer >= 3, got 2"),
+        (64.5, 64, r"width must be an integer >= 3, got 64\.5"),
+        (64, 40.0, r"height must be an integer >= 3, got 40\.0"),
+        (True, 64, r"width must be an integer >= 3, got True"),
+    ], ids=["negative-width", "zero-height", "width-2", "float-width", "whole-float-height",
+            "bool-width"])
+    def test_rejects_sizes_that_are_not_counts(self, shape, width, height, match):
+        with pytest.raises(ValueError, match=match):
+            signed_distance(shape, width, height)
 
     def test_one_lipschitz(self):
         phi = signed_distance(InitShape.circle_grid(3, 3, 5, 60, 60), 60, 60).data
@@ -448,15 +462,3 @@ class TestReinitialize:
         with pytest.raises(ValueError):
             reinitialize(phi, iterations=iterations)
 
-
-class TestContourCsv:
-    def test_format(self):
-        contour = Contour(loops=[np.array([[1.25, 2.5], [3.0, 4.125], [5.0, 6.0]])], closed=[True])
-        text = contour_csv(contour)
-        lines = text.strip().split("\n")
-        assert lines[0] == "loop_id,vertex_id,x,y"
-        assert lines[1] == "0,0,1.2500,2.5000"
-        assert lines[3] == "0,2,5.0000,6.0000"
-
-    def test_empty(self):
-        assert contour_csv(Contour()) == "loop_id,vertex_id,x,y\n"

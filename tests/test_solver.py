@@ -1,6 +1,8 @@
 """Solver behavior: stability bound, stopping rules, trace bookkeeping,
 determinism, and the aligned-phantom fixed point."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -24,15 +26,15 @@ from levelseg.levelset import (
     extract_contour,
     signed_distance,
 )
-from levelseg.models import EvolveParams
+from levelseg.models import EvolveParams, RegionStats
 from levelseg.solver import (
     EDGE_PERCENTILE,
     SegmentationResult,
+    TraceEntry,
     _edge_image,
     _interface_motion,
     evolve,
     stability_dt,
-    trace_csv,
 )
 
 from helpers import hausdorff
@@ -269,7 +271,7 @@ class TestEvolveBasics:
         r2 = evolve("chan_vese", u0, phi0, params)
         assert np.array_equal(r1.phi_final.data, r2.phi_final.data)
         assert np.array_equal(r1.mask, r2.mask)
-        assert trace_csv(r1.energy_trace) == trace_csv(r2.energy_trace)
+        assert r1.energy_trace == r2.energy_trace
 
     def test_concurrent_runs_match_sequential_ones(self):
         # each evolve owns its work arrays, so runs in threads, which numpy
@@ -642,21 +644,66 @@ class TestRegionConstants:
         assert res.stats_final.c2 == pytest.approx(u0.data.mean())
 
 
-class TestTraceCsv:
-    def test_format_and_geodesic_blanks(self):
-        u0 = normalized_disk()
-        phi0 = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
-        res = evolve("geodesic", u0, phi0, EvolveParams(max_iters=3, stop_tol=0.0))
-        text = trace_csv(res.energy_trace)
-        lines = text.strip().split("\n")
-        assert lines[0] == "iter,energy,c1_or_alphaM,c2,event"
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[2] == "" and first[3] == ""
-        assert first[4] == "step"
-
+class TestTraceRows:
     def test_modified_records_alpha_target(self):
         u0 = normalized_disk()
         phi0 = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
         params = EvolveParams(alpha=0.7, max_iters=2, stop_tol=0.0)
         res = evolve("modified", u0, phi0, params)
         assert res.energy_trace[0].c_inside == pytest.approx(0.7 * 1.0)
+
+
+class TestToJson:
+    def report(self, model, phi0, params, u0=None):
+        res = evolve(model, normalized_disk() if u0 is None else u0, phi0, params)
+        return res, json.loads(res.to_json())
+
+    def test_fields_leave_out_phi_final(self):
+        phi0 = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
+        res, report = self.report("chan_vese", phi0, EvolveParams(max_iters=3))
+        assert set(report) == {"stop_reason", "iterations_run", "dt_used", "diagnostics",
+                               "stats_final", "energy_trace", "contour"}
+        assert report["stop_reason"] == res.stop_reason
+        assert report["iterations_run"] == res.iterations_run == 3
+        assert report["diagnostics"] is None
+
+    def test_geodesic_rows_have_no_region_constants(self):
+        phi0 = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
+        _, report = self.report("geodesic", phi0, EvolveParams(max_iters=3, stop_tol=0.0))
+        first = report["energy_trace"][0]
+        assert first["iteration"] == 0 and first["event"] == "step"
+        assert first["c_inside"] is None and first["c_outside"] is None
+
+    def test_modified_rows_carry_alpha_target(self):
+        phi0 = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
+        params = EvolveParams(alpha=0.7, max_iters=2, stop_tol=0.0)
+        _, report = self.report("modified", phi0, params)
+        assert [row["c_inside"] for row in report["energy_trace"]] == [0.7 * 1.0] * 3
+
+    def test_phi_of_one_sign_has_no_loops(self):
+        phi0 = ScalarField(np.full((64, 64), -5.0))
+        _, report = self.report("chan_vese", phi0, EvolveParams(max_iters=0))
+        assert report["contour"] == {"loops": [], "closed": []}
+
+    @pytest.mark.parametrize("model", ["chan_vese", "modified", "geodesic"])
+    def test_stalled_run_reports_nan_energy(self, model):
+        sdf = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
+        phi0 = ScalarField(np.where(sdf >= 0.0, 1.7e308, -1.7e308))
+        _, report = self.report(model, phi0, EvolveParams(mu=0.2, max_iters=30))
+        assert report["stop_reason"] == "stalled"
+        assert "non-finite at iteration 1" in report["diagnostics"]
+        assert np.isnan(report["energy_trace"][0]["energy"])
+
+    @pytest.mark.parametrize("model", ["modified", "geodesic"])
+    def test_rows_and_loops_round_trip_bit_equal(self, model):
+        u0, _ = three_disc_image()
+        phi0 = signed_distance(default_seed_grid(128, 128), 128, 128)
+        params = EvolveParams(mu=0.2, max_iters=25, reinit_every=10)
+        res, report = self.report(model, phi0, params, u0)
+        assert [TraceEntry(**row) for row in report["energy_trace"]] == res.energy_trace
+        assert RegionStats(**report["stats_final"]) == res.stats_final
+        assert report["dt_used"] == res.dt_used
+        loops, closed = report["contour"]["loops"], report["contour"]["closed"]
+        assert len(loops) == len(res.contour) > 0 and closed == res.contour.closed
+        for loop, expected in zip(loops, res.contour.loops):
+            assert np.array(loop).tobytes() == expected.tobytes()
