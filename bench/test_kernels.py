@@ -1,6 +1,7 @@
 """Micro-benchmarks of the per-step kernels of all three models at 256^2,
-512^2 and 1024^2, each with a fresh work set per call and, where a kernel
-takes one, with a reused grid.Scratch as evolve passes it. From 512^2 on,
+512^2 and 1024^2, in float64 and in float32, evolve's working precision,
+each with a fresh work set per call and, where a kernel takes one, with a
+reused grid.Scratch of the fields' dtype, as evolve passes it. From 512^2 on,
 the kernels run on row slabs, one per usable CPU (grid.split_rows):
 
     python -m pytest bench/test_kernels.py
@@ -49,16 +50,18 @@ from levelseg.solver import _interface_motion
 SCRATCH = pytest.mark.parametrize("scratch", ["fresh", "reused"])
 
 
-@pytest.fixture(scope="module", params=[256, 512, 1024], ids=lambda n: f"{n}px")
+@pytest.fixture(scope="module",
+                params=[(n, dtype) for n in (256, 512, 1024) for dtype in ("float64", "float32")],
+                ids=lambda p: f"{p[0]}px-{p[1]}")
 def fields(request):
-    n = request.param
-    u0 = ScalarField(np.random.default_rng(n).random((n, n)))
-    phi = signed_distance(InitShape.circle_grid(4, 4, n / 10, n, n), n, n)
-    return u0, phi
+    n, dtype = request.param
+    u0 = np.random.default_rng(n).random((n, n)).astype(dtype)
+    phi = signed_distance(InitShape.circle_grid(4, 4, n / 10, n, n), n, n).data.astype(dtype)
+    return ScalarField(u0), ScalarField(phi)
 
 
 def work_set(kind, phi):
-    return Scratch(phi.data.shape) if kind == "reused" else None
+    return Scratch(phi.data.shape, phi.data.dtype) if kind == "reused" else None
 
 
 @SCRATCH

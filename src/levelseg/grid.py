@@ -25,6 +25,10 @@ summation order. A slab runs in a copy of the caller's context, so that
 the np.errstate the caller set holds on the workers too. Slab bodies are
 private functions that allocate no field-sized array (magnitude's does
 where a result overflows) and call no public kernel of this package.
+
+A kernel works in the dtype it is given (float32, else float64) or in its
+Scratch's. A float32 pass takes Python floats as constants: under NEP 50 a
+float64 array, even 0-d, makes it a float64 loop. Sums are in float64.
 """
 
 from __future__ import annotations
@@ -158,8 +162,8 @@ def rowwise(body: Callable, out: np.ndarray, *args) -> np.ndarray:
 @dataclass(frozen=True)
 class ScalarField:
     """A width x height grid of real values (the image u0 or the level-set
-    function phi), stored row-major as a float64 array of shape
-    (height, width). ``spacing`` is the grid step h.
+    function phi), stored row-major as a float32, or else float64, array of
+    shape (height, width). ``spacing`` is the grid step h.
     """
 
     data: np.ndarray
@@ -169,7 +173,7 @@ class ScalarField:
         if np.iscomplexobj(self.data):  # float64 would drop the imaginary part
             raise ValueError("field data must be real, got complex values")
         # row-major, so that the stencils can run over the rows as one flat run
-        arr = np.asarray(self.data, dtype=np.float64, order="C")
+        arr = _working(self.data, order="C")
         if arr.ndim != 2:
             raise ValueError(f"field data must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 3 or arr.shape[1] < 3:
@@ -194,6 +198,12 @@ class ScalarField:
     def like(self, data: np.ndarray) -> "ScalarField":
         """A new field with the same spacing."""
         return ScalarField(data, self.spacing)
+
+
+def _working(a, order=None) -> np.ndarray:
+    # a as a float32 array if it is one, else as a float64 array
+    dtype = np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64
+    return np.asarray(a, dtype, order=order)
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -226,7 +236,8 @@ def magnitude(dx: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
     every slab count gives the same bits. When dy_squared is dy, the
     squares have overwritten dy by then, so np.hypot takes |dy| as
     sqrt(dy^2): the same bits wherever dy^2 is finite, and Inf where it
-    overflowed.
+    overflowed. In float32 the squares underflow below about 1e-19 and
+    overflow above about 1.8e19.
     """
     out = np.empty_like(dx) if out is None else out
     dy_squared = np.empty_like(dy) if dy_squared is None else dy_squared
@@ -324,9 +335,9 @@ def gradient_magnitude(f: np.ndarray, spacing: float = 1.0, *,
     return magnitude(g.dx, g.dy, m, dy_squared=g.dy)
 
 
-def _result(shape: tuple, out: np.ndarray | None) -> np.ndarray:
+def _result(shape: tuple, out: np.ndarray | None, dtype) -> np.ndarray:
     # the array an elementwise kernel writes into: ``out``, or a new one
-    return np.empty(shape) if out is None else out
+    return np.empty(shape, dtype) if out is None else out
 
 
 def edge_detector(z, *, out: np.ndarray | None = None):
@@ -336,8 +347,8 @@ def edge_detector(z, *, out: np.ndarray | None = None):
     why solver.evolve first divides the gradient by its own level. Accepts
     scalars or arrays; an array result is written into ``out`` when given.
     """
-    z = np.asarray(z, dtype=np.float64)
-    out = rowwise(_edge_detector_rows, _result(z.shape, out), z)
+    z = _working(z)
+    out = rowwise(_edge_detector_rows, _result(z.shape, out, z.dtype), z)
     return out if out.ndim else float(out)
 
 
@@ -390,26 +401,29 @@ class Scratch:
     (data_term), made on first use, so only region runs have them. Each is
     keyed on the image array object, and the terms on c as well, and is
     rebuilt only when its key changes. The contract: a set serves
-    one run, and the image is not changed in place while it does.
+    one run, and the image is not changed in place while it does. Its
+    arrays, and those a kernel given the set makes, are of its ``dtype``.
     """
 
-    def __init__(self, shape: tuple):
+    def __init__(self, shape: tuple, dtype=np.float64):
         h, w = shape
         self.shape = (h, w)
-        self.padded = np.empty((h + 2, w + 2))
+        self.dtype = np.dtype(dtype)
+        self.padded = np.empty((h + 2, w + 2), dtype)
         run = h * (w + 2)
-        self.buffers = (*(np.empty(run) for _ in range(4)), self.padded.reshape(-1)[:run])
+        self.buffers = (*(np.empty(run, dtype) for _ in range(4)), self.padded.reshape(-1)[:run])
         self.arrays = tuple(b[:h * w].reshape(h, w) for b in self.buffers)
         self._image = None  # (image, mean, max)
         self._terms = [None, None]  # ((image, c), array) per data term
 
     @classmethod
-    def ensure(cls, scratch: "Scratch | None", shape: tuple) -> "Scratch":
-        """``scratch``, or a fresh set when it is None; the shapes must agree."""
+    def ensure(cls, scratch: "Scratch | None", a: np.ndarray) -> "Scratch":
+        """``scratch``, or a fresh set in a's shape and dtype when it is
+        None; the shapes must agree."""
         if scratch is None:
-            return cls(shape)
-        if scratch.shape != tuple(shape):
-            raise ValueError(f"scratch is for shape {scratch.shape}, not {tuple(shape)}")
+            return cls(a.shape, a.dtype)
+        if scratch.shape != a.shape:
+            raise ValueError(f"scratch is for shape {scratch.shape}, not {a.shape}")
         return scratch
 
     def image_stats(self, u: np.ndarray) -> tuple[float, float]:
@@ -428,7 +442,7 @@ class Scratch:
             (image, c_was), term = entry
             if image is u and c_was == c:
                 return term
-        term = np.empty(self.shape) if entry is None else entry[1]
+        term = np.empty(self.shape, self.dtype) if entry is None else entry[1]
         rowwise(_data_term_rows, term, u, c)
         self._terms[which] = ((u, c), term)
         return term
@@ -440,9 +454,9 @@ def _data_term_rows(term, u, c):
 
 
 def image_stats(u: np.ndarray) -> tuple[float, float]:
-    """(mean, max) of an image over all its pixels."""
+    """(mean, max) of an image over all its pixels, summed in float64."""
     flat = u.ravel()
-    return float(flat.mean()), float(flat.max())
+    return float(flat.mean(dtype=np.float64)), float(flat.max())
 
 
 def _rows_of(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -482,9 +496,9 @@ def curvature(phi: np.ndarray, spacing: float = 1.0, *,
     overwrites them; and the rest, whose rows of the result lie over pxy
     of the slabs before.
     """
-    s = Scratch.ensure(scratch, phi.shape)
+    s = Scratch.ensure(scratch, phi)
     rows, width = phi.shape
-    run = np.empty(rows * (width + 2))
+    run = np.empty(rows * (width + 2), s.dtype)
     for body in (_pad_rows, _difference_rows, _cross_rows, _curvature_rows):
         split_rows(functools.partial(body, phi, spacing, s, run), rows, phi.size)
     return run[:phi.size].reshape(phi.shape)
@@ -595,12 +609,13 @@ def heaviside_eps(z, eps, *, out: np.ndarray | None = None):
     increasing, H_eps(0) = 1/2, limits 0 and 1. Accepts scalars or arrays;
     an array result is written into ``out`` when given, in the operation
     order of the formula. A scalar eps of 1 skips the quotient z / eps,
-    which is z itself.
+    which is z itself; any other eps takes the dtype of the result.
     """
     eps = _positive_eps(eps)
-    z = np.asarray(z, dtype=np.float64)
-    out = _result(np.broadcast_shapes(z.shape, eps.shape), out)
-    rowwise(_heaviside_rows, out, z, None if eps.ndim == 0 and eps == 1.0 else eps)
+    z = _working(z)
+    out = _result(np.broadcast_shapes(z.shape, eps.shape), out, z.dtype)
+    rowwise(_heaviside_rows, out, z,
+            None if eps.ndim == 0 and eps == 1.0 else eps.astype(out.dtype))
     return out if out.ndim else float(out)
 
 
@@ -614,12 +629,13 @@ def _heaviside_rows(out, z, eps):
 def delta_eps(z, eps, *, out: np.ndarray | None = None):
     """Exact derivative of heaviside_eps: (1/pi) eps / (eps^2 + z^2).
     Even in z, strictly positive, peaks at z = 0. An array result is written
-    into ``out`` when given, in the operation order of the formula.
+    into ``out`` when given, in the operation order of the formula, with
+    eps^2 and eps / pi in the dtype of the result.
     """
     eps = _positive_eps(eps)
-    z = np.asarray(z, dtype=np.float64)
-    out = _result(np.broadcast_shapes(z.shape, eps.shape), out)
-    rowwise(_delta_rows, out, z, eps * eps, eps / math.pi)
+    z = _working(z)
+    out = _result(np.broadcast_shapes(z.shape, eps.shape), out, z.dtype)
+    rowwise(_delta_rows, out, z, *(c.astype(out.dtype) for c in (eps * eps, eps / math.pi)))
     return out if out.ndim else float(out)
 
 

@@ -139,12 +139,12 @@ def reinitialize(phi: ScalarField, iterations: int, *,
     _check_count("iterations", iterations)
     h = phi.spacing
     d0 = phi.data
-    s = Scratch.ensure(scratch, d0.shape)
+    s = Scratch.ensure(scratch, d0)
     negative = d0 < 0
     zero = d0 == 0
     # dt * S(phi0) with dt = h / 2, once per call
     rowwise(_step_scale_rows, s.arrays[0], d0, h)
-    d = d0.copy()
+    d = d0.astype(s.dtype)  # a new field in the set's dtype
     # a sweep reads the rows next to its slab's, so no slab updates d
     # until every slab has taken its differences
     slopes = functools.partial(_slope_rows, d, h, s.arrays, negative, zero)

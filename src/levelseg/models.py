@@ -119,10 +119,10 @@ def _check_dims(u0: ScalarField, phi: ScalarField) -> None:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b) over all pixels, with no product array. einsum, not the @
-    of a threaded BLAS, whose threads spin on a vector this short.
+    """sum(a * b) over all pixels in float64, with no product array. einsum,
+    not the @ of a threaded BLAS, whose threads spin on a vector this short.
     """
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+    return float(np.einsum("i,i->", a.ravel(), b.ravel(), dtype=np.float64))
 
 
 def region_averages(u0: ScalarField, phi: ScalarField, *,
@@ -172,11 +172,11 @@ def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     mean.
     """
     u = u0.data.ravel()
-    H, not_H = Scratch.ensure(scratch, u0.data.shape).arrays[:2]
+    H, not_H = Scratch.ensure(scratch, phi.data).arrays[:2]
     heaviside_eps(phi.data, eps, out=H)
     rowwise(_complement_rows, not_H, H)
     w_in, w_out = H.ravel(), not_H.ravel()
-    sum_in, sum_out = float(w_in.sum()), float(w_out.sum())
+    sum_in, sum_out = float(w_in.sum(dtype=np.float64)), float(w_out.sum(dtype=np.float64))
     c1 = _dot(u, w_in) / sum_in if sum_in > 0 else stats.c1
     c2 = _dot(u, w_out) / sum_out if sum_out > 0 else stats.c2
     return replace(stats, c1=c1, c2=c2), H
@@ -212,7 +212,7 @@ def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
     Inf here rather than an exception.
     """
     u = u0.data
-    scratch = Scratch.ensure(scratch, u.shape)
+    scratch = Scratch.ensure(scratch, phi.data)
     rhs = curvature(phi.data, phi.spacing, scratch=scratch)
     delta = delta_eps(phi.data, params.eps, out=scratch.arrays[2])
     inside = scratch.data_term(0, u, inside_target)
@@ -267,7 +267,7 @@ def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *
     None). Not validated, so that a phi that overflows the curvature
     stencil gives NaN or Inf rather than an exception.
     """
-    scratch = Scratch.ensure(scratch, phi.data.shape)
+    scratch = Scratch.ensure(scratch, phi.data)
     rhs = curvature(phi.data, phi.spacing, scratch=scratch)
     g, gx, gy, px, py = scratch.arrays
     edge_detector(gradient_magnitude(u0.data, u0.spacing, out=(gx, gy, g)), out=g)
@@ -306,7 +306,7 @@ def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
     gradient overflows gives NaN or Inf.
     """
     u = u0.data
-    s = Scratch.ensure(scratch, u.shape)
+    s = Scratch.ensure(scratch, phi.data)
     if H is None:
         H = heaviside_eps(phi.data, params.eps, out=s.arrays[0])
     weight, dx, dy, work = s.arrays[1:]
@@ -314,7 +314,7 @@ def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
         not_H = np.subtract(1.0, H, out=weight)
     inside = _dot(s.data_term(0, u, inside_target), H)
     outside = _dot(s.data_term(1, u, outside_const), not_H)
-    area = float(H.sum())
+    area = float(H.sum(dtype=np.float64))
     # length term: delta_eps in weight, |grad phi| in work
     length = _dot(delta_eps(phi.data, params.eps, out=weight),
                   gradient_magnitude(phi.data, phi.spacing, out=(dx, dy, work)))
@@ -346,7 +346,7 @@ def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
     None), and the sum is a dot product.
     """
     _check_dims(u0, phi)
-    g, delta, dx, dy, grad_mag = Scratch.ensure(scratch, phi.data.shape).arrays
+    g, delta, dx, dy, grad_mag = Scratch.ensure(scratch, phi.data).arrays
     edge_detector(gradient_magnitude(u0.data, u0.spacing, out=(dx, dy, g)), out=g)
     rowwise(_product_rows, g, delta_eps(phi.data, params.eps, out=delta))
     gradient_magnitude(phi.data, phi.spacing, out=(dx, dy, grad_mag))

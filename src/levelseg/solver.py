@@ -63,6 +63,8 @@ class TraceEntry:
     the modified model, then c2; both are None for geodesic runs. c1 and c2
     are the H_eps-weighted means of models.weighted_averages, not the binary
     means of region_averages. event marks the steps that reinitialized.
+    moved is the stop rule's interface motion in px (None on row 0), and
+    n_inside and crossings count phi >= 0 pixels and zero-crossing edges.
     """
 
     iteration: int
@@ -70,6 +72,9 @@ class TraceEntry:
     c_inside: Optional[float]
     c_outside: Optional[float]
     event: str  # step | reinit
+    moved: Optional[float]
+    n_inside: int
+    crossings: int
 
 
 @dataclass
@@ -77,7 +82,8 @@ class SegmentationResult:
     """One evolve run: phi_final and its contour, an energy_trace row per
     iteration from 0, stats_final at phi_final, iterations_run steps of
     dt_used, and stop_reason: 'converged', 'max_iters' or 'stalled' (phi
-    went non-finite; diagnostics says where)."""
+    went non-finite; diagnostics says where). phi_final is float32 once a
+    step was taken, and phi0's data, copied, when none was."""
 
     phi_final: ScalarField
     contour: Contour
@@ -171,7 +177,7 @@ def _interface_motion(before, after) -> float:
     for (keys0, t0, crossed0), (keys1, t1, crossed1) in zip(before, after):
         shift = t1[crossed0[keys1]] - t0[crossed1[keys0]]
         once = len(keys0) + len(keys1) - 2 * len(shift)
-        moved += float(np.abs(shift).sum()) + once
+        moved += float(np.abs(shift).sum(dtype=np.float64)) + once
         edges += len(shift) + once
     return moved / edges if edges else 0.0
 
@@ -194,6 +200,9 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
     not decide the stop: phi can keep steepening around a contour that has
     stopped moving.
 
+    The run steps in float32 and sums in float64: u0 and the work set are
+    float32, and the first step writes phi, read as given, in float32.
+
     u0 must be normalized to [0, 1] and lie on phi0's grid (same shape and
     spacing); phi0 should be signed-distance-like (grid units) and is not
     written. For the geodesic model u0 is smoothed and divided by its
@@ -210,8 +219,9 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
 
     dt = stability_dt(params, model, u0.spacing)
     phi = phi0
+    u0 = u0.like(u0.data.astype(np.float32, copy=False))
     # work space of every kernel of the step for this run
-    scratch = Scratch(phi.data.shape)
+    scratch = Scratch(phi.data.shape, np.float32)
     u_model = _edge_image(u0, scratch) if model == "geodesic" else u0
     stop_reason = "max_iters"
     diagnostics = None
@@ -221,8 +231,8 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
     # an overflowing phi must reach the finiteness check as NaN/Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
-        trace = [TraceEntry(0, energy, *(terms or (None, None))[:2], "step")]
         crossings = edge_crossings(phi.data)
+        trace = [_row(0, energy, terms, "step", None, stats, crossings)]
 
         for it in range(1, params.max_iters + 1):
             # the rhs becomes the new phi in place: rhs * dt + phi
@@ -248,11 +258,10 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
                 phi = reinitialize(phi, REINIT_SWEEPS, scratch=scratch)
                 event = "reinit"
             stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
-            trace.append(TraceEntry(it, energy, *(terms or (None, None))[:2], event))
-            iterations_run = it
-
             # the last step's crossings against this step's, which replace them
             moved = _interface_motion(crossings, crossings := edge_crossings(phi.data))
+            trace.append(_row(it, energy, terms, event, moved, stats, crossings))
+            iterations_run = it
             streak = streak + 1 if moved < params.stop_tol else 0
             if streak >= STOP_WINDOW:
                 stop_reason = "converged"
@@ -272,6 +281,11 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
         dt_used=dt,
         diagnostics=diagnostics,
     )
+
+
+def _row(it, energy, terms, event, moved, stats, crossings) -> TraceEntry:
+    return TraceEntry(it, energy, *(terms or (None, None))[:2], event, moved,
+                      stats.n_inside, sum(len(keys) for keys, _, _ in crossings))
 
 
 def _advance_rows(rhs, dt, phi):

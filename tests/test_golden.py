@@ -13,6 +13,14 @@ for every model or only for the models named:
 
 The entries of the models not named are kept byte for byte: the floats of a
 run differ in the last bits across CPUs, so a fresh run would move them.
+
+The golden was recorded in float64 and stays the anchor of the float32
+run: a golden recorded in float32 would pin one CPU's float32 rounding,
+which moves phi by some 1e-6 px between numpy's SIMD targets. So the
+discrete results (mask, stop reason, iteration count, events) must match
+exactly, phi_final within PHI_ATOL px, and the trace's energies and region
+constants within TRACE_RTOL: the float32 run measured 6.2e-6 px and
+1.0e-7 against it.
 """
 
 import pathlib
@@ -27,10 +35,10 @@ from levelseg.models import MODEL_NAMES, EvolveParams
 from levelseg.solver import evolve
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "evolve_golden.npz"
-# phi_final and the energies may differ in the last bits across CPUs and
-# numpy builds (SIMD widths change the summation order of the reductions);
-# everything discrete must match exactly
-RTOL = ATOL = 1e-10
+# phi_final in px and the trace relative to its values; everything discrete
+# must match exactly
+PHI_ATOL = 1e-4
+TRACE_RTOL = 1e-6
 
 
 def golden_input():
@@ -78,9 +86,10 @@ def test_evolve_matches_golden(model, golden):
     want = {key: golden[f"{model}/{key}"] for key in got}
     for key in ("mask", "labels"):
         assert np.array_equal(got[key], want[key]), key
-    for key in ("phi_final", "trace"):
-        np.testing.assert_allclose(got[key], want[key], rtol=RTOL, atol=ATOL,
-                                   equal_nan=True, err_msg=key)
+    np.testing.assert_allclose(got["phi_final"], want["phi_final"], rtol=0, atol=PHI_ATOL,
+                               err_msg="phi_final")
+    np.testing.assert_allclose(got["trace"], want["trace"], rtol=TRACE_RTOL, atol=0,
+                               equal_nan=True, err_msg="trace")
 
 
 if __name__ == "__main__":

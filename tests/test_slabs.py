@@ -77,7 +77,7 @@ def fields(height, width, spacing):
 def outputs(kernel, u0, phi):
     """The arrays and numbers a kernel gives on (u0, phi), as one byte string."""
     params = EvolveParams(mu=0.2, nu=0.1, lam=1.5)
-    scratch = Scratch(phi.data.shape)
+    scratch = Scratch(phi.data.shape, phi.data.dtype)
     smooth = gaussian_smooth(u0)
     if kernel == "curvature":
         got = [curvature(phi.data, phi.spacing), curvature(phi.data, phi.spacing,
@@ -115,16 +115,27 @@ KERNELS = ["curvature", "gradient", "gradient_magnitude", "heaviside_and_delta",
 SHAPES = [(513, 520, 1.0), (517, 300, 0.5)]
 
 
+def assert_slabs_equal_one_slab(monkeypatch, kernel, u0, phi):
+    use_slabs(monkeypatch, 1)
+    expected = outputs(kernel, u0, phi)
+    for count in (2, 3, 4):
+        use_slabs(monkeypatch, count)
+        assert outputs(kernel, u0, phi) == expected, f"{count} slabs"
+
+
 class TestSlabsEqualOneSlab:
     @pytest.mark.parametrize("height, width, spacing", SHAPES)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_kernel_is_bit_identical(self, monkeypatch, kernel, height, width, spacing):
-        u0, phi = fields(height, width, spacing)
-        use_slabs(monkeypatch, 1)
-        expected = outputs(kernel, u0, phi)
-        for count in (2, 3, 4):
-            use_slabs(monkeypatch, count)
-            assert outputs(kernel, u0, phi) == expected, f"{count} slabs"
+        assert_slabs_equal_one_slab(monkeypatch, kernel, *fields(height, width, spacing))
+
+    # the kernels in evolve's working precision, with a float32 set
+    @pytest.mark.parametrize("height, width, spacing", SHAPES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_kernel_is_bit_identical_in_float32(self, monkeypatch, kernel, height, width,
+                                                spacing):
+        u0, phi = (f.like(f.data.astype(np.float32)) for f in fields(height, width, spacing))
+        assert_slabs_equal_one_slab(monkeypatch, kernel, u0, phi)
 
     @pytest.mark.parametrize("height, width, spacing", SHAPES)
     def test_reinitialize_equals_the_reference_sweep(self, monkeypatch, height, width, spacing):

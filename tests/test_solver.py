@@ -29,6 +29,7 @@ from levelseg.levelset import (
 from levelseg.models import EvolveParams, RegionStats
 from levelseg.solver import (
     EDGE_PERCENTILE,
+    STOP_WINDOW,
     SegmentationResult,
     TraceEntry,
     _edge_image,
@@ -621,9 +622,12 @@ class TestRegionConstants:
         phi0 = signed_distance(InitShape.circle(32, 32, 14), 64, 64)
         params = EvolveParams(max_iters=0)
         res = evolve(model, u0, phi0, params)
-        H = heaviside_eps(phi0.data, params.eps)
-        c1 = (u0.data * H).sum() / H.sum()
-        c2 = (u0.data * (1.0 - H)).sum() / (1.0 - H).sum()
+        # as the run builds them: u0 and H in float32, summed in float64
+        u = u0.data.astype(np.float32).astype(np.float64)
+        H32 = heaviside_eps(phi0.data, params.eps, out=np.empty(phi0.data.shape, np.float32))
+        H, not_H = H32.astype(np.float64), (1.0 - H32).astype(np.float64)
+        c1 = (u * H).sum() / H.sum()
+        c2 = (u * not_H).sum() / not_H.sum()
         entry = res.energy_trace[0]
         assert entry.c_outside == pytest.approx(c2, rel=1e-12)
         if model == "chan_vese":
@@ -651,6 +655,30 @@ class TestTraceRows:
         params = EvolveParams(alpha=0.7, max_iters=2, stop_tol=0.0)
         res = evolve("modified", u0, phi0, params)
         assert res.energy_trace[0].c_inside == pytest.approx(0.7 * 1.0)
+
+    def test_rows_carry_the_motion_that_stopped_the_run(self):
+        u0 = normalized_disk()
+        phi0 = signed_distance(InitShape.circle(32, 32, 14), 64, 64)
+        params = EvolveParams(mu=0.2)
+        res = evolve("modified", u0, phi0, params)
+        assert res.stop_reason == "converged"
+        trace = res.energy_trace
+        assert trace[0].moved is None
+        assert all(row.moved < params.stop_tol for row in trace[-STOP_WINDOW:])
+        assert not trace[-STOP_WINDOW - 1].moved < params.stop_tol
+
+    @pytest.mark.parametrize("model", ["chan_vese", "geodesic"])
+    def test_rows_count_the_inside_and_the_crossings(self, model):
+        u0 = normalized_disk()
+        phi0 = signed_distance(InitShape.circle(30, 33, 15), 64, 64)
+        res = evolve(model, u0, phi0, EvolveParams(mu=0.2, max_iters=8, stop_tol=0.0))
+        first, last = res.energy_trace[0], res.energy_trace[-1]
+        assert first.n_inside == np.count_nonzero(phi0.data >= 0.0)
+        assert first.crossings == len(extract_contour(phi0).vertices())
+        # every crossing is a vertex of exactly one loop of the contour
+        assert last.n_inside == res.stats_final.n_inside == np.count_nonzero(res.mask)
+        assert last.crossings == len(res.contour.vertices())
+        assert first.n_inside != last.n_inside
 
 
 class TestToJson:
