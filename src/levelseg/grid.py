@@ -6,10 +6,12 @@ regularized Heaviside/delta pair, and the gradient-based edge detector.
 All operations are deterministic; the only state they write is a Scratch
 work set or an ``out`` array that the caller passes in.
 
-Every kernel the solver's step calls takes raw arrays and a grid spacing
-and validates nothing: a phi that overflows a stencil gives NaN or Inf,
-which the caller checks for. ScalarField validates at the API of models,
-levelset and solver, which pass its data and spacing down.
+Every kernel below solver.evolve, here and in models and levelset, takes
+raw arrays and one grid spacing and validates nothing: a phi that
+overflows a stencil gives NaN or Inf, which the caller checks for.
+ScalarField validates at the package's doors only: the fields that
+solver.evolve takes, the phi0 that levelset.signed_distance builds, and
+the result's phi_final.
 
 On a field of at least 2^18 pixels, the row-local passes run on row slabs,
 one per usable CPU (at most four): split_rows puts a pass's slabs on a
@@ -186,18 +188,6 @@ class ScalarField:
         if not (0 < self.spacing < math.inf):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         object.__setattr__(self, "data", arr)
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    def like(self, data: np.ndarray) -> "ScalarField":
-        """A new field with the same spacing."""
-        return ScalarField(data, self.spacing)
 
 
 def _working(a, order=None) -> np.ndarray:
@@ -387,7 +377,7 @@ class Scratch:
       returned, array 0 for lam * (u - c)^2 when lam is not 1;
     - weighted_averages writes H_eps into array 0 and 1 - H_eps into array 1,
       and returns array 0 as H, which energy_region reads and leaves as is;
-    - geodesic_flow_rhs builds g, grad g, grad phi and |grad phi| in arrays
+    - geodesic_rhs builds g, grad g, grad phi and |grad phi| in arrays
       0-4, once curvature has returned;
     - energy_region and energy_geodesic use arrays 1-4 (energy_geodesic
       array 0 as well);
@@ -651,9 +641,9 @@ _G5 = np.exp(-0.5 * np.arange(-2.0, 3.0) ** 2)
 _KERNEL5 = np.outer(_G5, _G5) / np.outer(_G5, _G5).sum()
 
 
-def gaussian_smooth(f: ScalarField) -> ScalarField:
+def gaussian_smooth(f: np.ndarray) -> np.ndarray:
     """Convolve with the fixed 5x5 sigma=1 Gaussian, edge-replicated borders."""
     # imported on the first call: only the geodesic flow smooths, and the
     # import about doubles the resident memory of a region-model process
     import scipy.ndimage as ndi
-    return f.like(ndi.convolve(f.data, _KERNEL5, mode="nearest"))
+    return ndi.convolve(f, _KERNEL5, mode="nearest")

@@ -99,9 +99,9 @@ def signed_distance(shape: InitShape, width: int, height: int) -> ScalarField:
     return ScalarField(phi)
 
 
-def mask_inside(phi: ScalarField) -> np.ndarray:
+def mask_inside(phi: np.ndarray) -> np.ndarray:
     """Boolean mask of the inside region {phi >= 0}."""
-    return phi.data >= 0.0
+    return phi >= 0.0
 
 
 def _godunov_term(b: np.ndarray, minus_f: np.ndarray, low: np.ndarray,
@@ -116,20 +116,21 @@ def _godunov_term(b: np.ndarray, minus_f: np.ndarray, low: np.ndarray,
     minus_f *= minus_f
 
 
-def reinitialize(phi: ScalarField, iterations: int, *,
-                 scratch: Scratch | None = None) -> ScalarField:
+def reinitialize(phi: np.ndarray, iterations: int, spacing: float = 1.0, *,
+                 scratch: Scratch | None = None) -> np.ndarray:
     """Relax phi toward a signed distance function without moving the zero
     level: iterate d_t = S(phi0) (1 - |grad d|) with Godunov upwind
     differences and the smoothed sign S = phi0 / sqrt(phi0^2 + h^2).
 
     The sweeps work in ``scratch`` (a fresh set when None) and return a new
-    field. The forward difference f of a pixel is the backward difference b
-    of the next one (0 past the last), so only b is stored, and the Godunov
-    term max(max(b, 0)^2, min(f, 0)^2) is taken as max(b, -f, 0)^2 (inside;
-    min(b, -f, 0)^2 outside), which is exact for squares of non-negative
-    numbers. b in x and the -f shift are each one pass over the flattened
-    rows, which also crosses from each row's end to the next row's start;
-    the first column of b and the last of -f are then set to 0.
+    array in its dtype. The forward difference f of a pixel is the backward
+    difference b of the next one (0 past the last), so only b is stored, and
+    the Godunov term max(max(b, 0)^2, min(f, 0)^2) is taken as
+    max(b, -f, 0)^2 (inside; min(b, -f, 0)^2 outside), which is exact for
+    squares of non-negative numbers. b in x and the -f shift are each one
+    pass over the flattened rows, which also crosses from each row's end to
+    the next row's start; the first column of b and the last of -f are then
+    set to 0.
 
     A sweep runs on the row slabs of grid.split_rows. The -f shift in y of
     a slab's last row takes the next row's b again from d, and d is updated
@@ -137,21 +138,19 @@ def reinitialize(phi: ScalarField, iterations: int, *,
     result has the bits of a sweep over the whole array.
     """
     _check_count("iterations", iterations)
-    h = phi.spacing
-    d0 = phi.data
-    s = Scratch.ensure(scratch, d0)
-    negative = d0 < 0
-    zero = d0 == 0
+    s = Scratch.ensure(scratch, phi)
+    negative = phi < 0
+    zero = phi == 0
     # dt * S(phi0) with dt = h / 2, once per call
-    rowwise(_step_scale_rows, s.arrays[0], d0, h)
-    d = d0.astype(s.dtype)  # a new field in the set's dtype
+    rowwise(_step_scale_rows, s.arrays[0], phi, spacing)
+    d = phi.astype(s.dtype)  # a new array in the set's dtype
     # a sweep reads the rows next to its slab's, so no slab updates d
     # until every slab has taken its differences
-    slopes = functools.partial(_slope_rows, d, h, s.arrays, negative, zero)
+    slopes = functools.partial(_slope_rows, d, spacing, s.arrays, negative, zero)
     for _ in range(iterations):
         split_rows(slopes, len(d), d.size)
         rowwise(_take_step_rows, d, s.arrays[3])
-    return phi.like(d)
+    return d
 
 
 def _take_step_rows(d, step):
@@ -265,7 +264,7 @@ def edge_crossings(phi: np.ndarray) -> list:
     return found
 
 
-def extract_contour(phi: ScalarField) -> Contour:
+def extract_contour(phi: np.ndarray) -> Contour:
     """Trace the zero level set with marching squares; vertices are the
     edge_crossings of phi, linearly interpolated along cell edges, so phi
     interpolates to zero on them by construction, and each crossing is a
@@ -273,12 +272,11 @@ def extract_contour(phi: ScalarField) -> Contour:
     the sum of its corners' quarters (their average, which cannot overflow).
     Returns an empty contour when phi has uniform sign.
     """
-    d = phi.data
-    h, w = d.shape
+    h, w = phi.shape
 
     # the crossings by edge id: the horizontal edge from pixel k has id k,
     # the vertical one h * w + k, so the ids of both kinds ascend together
-    (h_keys, h_t, _), (v_keys, v_t, _) = edge_crossings(d)
+    (h_keys, h_t, _), (v_keys, v_t, _) = edge_crossings(phi)
     ids = np.concatenate((h_keys, v_keys + h * w))
     points = np.empty((len(ids), 2))
     points[:len(h_keys), 0] = h_keys % w + h_t
@@ -287,11 +285,11 @@ def extract_contour(phi: ScalarField) -> Contour:
     points[len(h_keys):, 1] = v_keys // w + v_t
 
     # the cells whose corners mix signs, in row-major order: code, and k of corner a
-    inside = (d >= 0.0).view(np.uint8)
+    inside = (phi >= 0.0).view(np.uint8)
     cell = inside[:-1, :-1] | inside[:-1, 1:] << 1 | inside[1:, 1:] << 2 | inside[1:, :-1] << 3
     ys, xs = np.nonzero((cell != 0) & (cell != 15))
     code, k = cell[ys, xs], ys * w + xs
-    f = d.ravel()
+    f = phi.ravel()
     centre = 0.25 * f[k] + 0.25 * f[k + 1] + 0.25 * f[k + w + 1] + 0.25 * f[k + w]
     saddle = ((code == 5) | (code == 10)) & (centre >= 0)
     code[saddle] = 16 + (code[saddle] == 10)

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .grid import (
-    ScalarField,
     Scratch,
     _check_count,
     _magnitude_rows,
@@ -109,15 +108,6 @@ class RegionStats:
         return self.n_outside == 0
 
 
-def _check_dims(u0: ScalarField, phi: ScalarField) -> None:
-    """Refuse an image and a level set whose shapes or spacings differ."""
-    if u0.data.shape != phi.data.shape or u0.spacing != phi.spacing:
-        raise ValueError(
-            f"image and level set grids differ: {u0.data.shape} at h = {u0.spacing} "
-            f"vs {phi.data.shape} at h = {phi.spacing}"
-        )
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) over all pixels in float64, with no product array. einsum,
     not the @ of a threaded BLAS, whose threads spin on a vector this short.
@@ -125,7 +115,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel(), dtype=np.float64))
 
 
-def region_averages(u0: ScalarField, phi: ScalarField, *,
+def region_averages(u: np.ndarray, phi: np.ndarray, *,
                     scratch: Optional[Scratch] = None) -> RegionStats:
     """Mean intensity inside {phi >= 0} and outside {phi < 0}.
 
@@ -134,13 +124,11 @@ def region_averages(u0: ScalarField, phi: ScalarField, *,
     mean and max come from ``scratch`` when given, which computes them once
     per image.
     """
-    _check_dims(u0, phi)
-    u = u0.data.ravel()
-    inside = phi.data.ravel() >= 0.0
+    inside = phi.ravel() >= 0.0
     n_in = int(np.count_nonzero(inside))
     n_out = u.size - n_in
-    global_mean, max_intensity = (image_stats(u0.data) if scratch is None
-                                  else scratch.image_stats(u0.data))
+    global_mean, max_intensity = (image_stats(u) if scratch is None
+                                  else scratch.image_stats(u))
     # sums over the mask as dot products, without copying u[inside]
     c1 = _dot(u, inside) / n_in if n_in else global_mean
     np.logical_not(inside, out=inside)
@@ -154,12 +142,12 @@ def region_averages(u0: ScalarField, phi: ScalarField, *,
     )
 
 
-def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
+def weighted_averages(u: np.ndarray, phi: np.ndarray, stats: RegionStats,
                       eps: float, *, scratch: Optional[Scratch] = None
                       ) -> tuple[RegionStats, np.ndarray]:
     """The region constants that minimize the region energies at fixed phi
-    (Chan & Vese 2001, eq. 6): c1 = sum(u0 H) / sum(H) and
-    c2 = sum(u0 (1 - H)) / sum(1 - H), with H = heaviside_eps(phi, eps).
+    (Chan & Vese 2001, eq. 6): c1 = sum(u H) / sum(H) and
+    c2 = sum(u (1 - H)) / sum(1 - H), with H = heaviside_eps(phi, eps).
 
     Returns ``stats`` with c1 and c2 replaced, and H, so that the energy at
     the same phi need not compute it again. H and 1 - H are written into
@@ -171,14 +159,12 @@ def weighted_averages(u0: ScalarField, phi: ScalarField, stats: RegionStats,
     stays the one of ``stats``, which region_averages sets to the global
     mean.
     """
-    u = u0.data.ravel()
-    H, not_H = Scratch.ensure(scratch, phi.data).arrays[:2]
-    heaviside_eps(phi.data, eps, out=H)
+    H, not_H = Scratch.ensure(scratch, phi).arrays[:2]
+    heaviside_eps(phi, eps, out=H)
     rowwise(_complement_rows, not_H, H)
-    w_in, w_out = H.ravel(), not_H.ravel()
-    sum_in, sum_out = float(w_in.sum(dtype=np.float64)), float(w_out.sum(dtype=np.float64))
-    c1 = _dot(u, w_in) / sum_in if sum_in > 0 else stats.c1
-    c2 = _dot(u, w_out) / sum_out if sum_out > 0 else stats.c2
+    sum_in, sum_out = float(H.sum(dtype=np.float64)), float(not_H.sum(dtype=np.float64))
+    c1 = _dot(u, H) / sum_in if sum_in > 0 else stats.c1
+    c2 = _dot(u, not_H) / sum_out if sum_out > 0 else stats.c2
     return replace(stats, c1=c1, c2=c2), H
 
 
@@ -197,24 +183,23 @@ def region_terms(model: str, stats: RegionStats,
     return stats.c1, stats.c2, params.lam
 
 
-def region_rhs(u0: ScalarField, phi: ScalarField, inside_target: float,
-               outside_const: float, lam: float, params: EvolveParams, *,
-               scratch: Optional[Scratch] = None) -> np.ndarray:
-    """Shared core of both region models as a raw array:
-    delta_eps(phi) * (mu*kappa - nu - lam*(u0 - inside)^2 + (u0 - outside)^2).
+def region_rhs(u: np.ndarray, phi: np.ndarray, inside_target: float,
+               outside_const: float, lam: float, params: EvolveParams,
+               spacing: float = 1.0, *, scratch: Optional[Scratch] = None) -> np.ndarray:
+    """Shared core of both region models:
+    delta_eps(phi) * (mu*kappa - nu - lam*(u - inside)^2 + (u - outside)^2).
 
     The terms are summed in that order into the new array that curvature
     returns, with ``scratch`` (a fresh set when None) as work space: its
-    data_term arrays for the squares (u0 - c)^2, which a reused set builds
+    data_term arrays for the squares (u - c)^2, which a reused set builds
     only when their constant changes, array 2 for delta_eps, and, when lam
-    is not 1, array 0 for lam * (u0 - inside)^2. The result is not
+    is not 1, array 0 for lam * (u - inside)^2. The result is not
     validated, so a phi that overflows the curvature stencil gives NaN or
     Inf here rather than an exception.
     """
-    u = u0.data
-    scratch = Scratch.ensure(scratch, phi.data)
-    rhs = curvature(phi.data, phi.spacing, scratch=scratch)
-    delta = delta_eps(phi.data, params.eps, out=scratch.arrays[2])
+    scratch = Scratch.ensure(scratch, phi)
+    rhs = curvature(phi, spacing, scratch=scratch)
+    delta = delta_eps(phi, params.eps, out=scratch.arrays[2])
     inside = scratch.data_term(0, u, inside_target)
     outside = scratch.data_term(1, u, outside_const)
     return rowwise(_region_sum_rows, rhs, params.mu, params.nu, lam, inside, outside, delta,
@@ -229,50 +214,42 @@ def _region_sum_rows(rhs, mu, nu, lam, inside, outside, delta, weighted):
     rhs *= delta
 
 
-def chan_vese_rhs(u0: ScalarField, phi: ScalarField, stats: RegionStats,
-                  params: EvolveParams) -> ScalarField:
+def chan_vese_rhs(u: np.ndarray, phi: np.ndarray, stats: RegionStats,
+                  params: EvolveParams, spacing: float = 1.0) -> np.ndarray:
     """Descent direction of the weighted Chan-Vese energy at fixed (c1, c2):
-    delta_eps(phi) * (mu*kappa - nu - lam*(u0-c1)^2 + (u0-c2)^2).
+    delta_eps(phi) * (mu*kappa - nu - lam*(u-c1)^2 + (u-c2)^2).
     """
-    _check_dims(u0, phi)
-    return phi.like(region_rhs(u0, phi, *region_terms("chan_vese", stats, params), params))
+    return region_rhs(u, phi, *region_terms("chan_vese", stats, params), params, spacing)
 
 
-def modified_rhs(u0: ScalarField, phi: ScalarField, stats: RegionStats,
-                 params: EvolveParams) -> ScalarField:
+def modified_rhs(u: np.ndarray, phi: np.ndarray, stats: RegionStats,
+                 params: EvolveParams, spacing: float = 1.0) -> np.ndarray:
     """Descent direction of the fixed-inside-target energy: the inside
     constant is pinned at alpha * max(u0) instead of the region average, so
     the contour is pulled toward high-intensity structure only.
     """
-    _check_dims(u0, phi)
-    return phi.like(region_rhs(u0, phi, *region_terms("modified", stats, params), params))
+    return region_rhs(u, phi, *region_terms("modified", stats, params), params, spacing)
 
 
-def geodesic_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams) -> ScalarField:
-    """Geodesic active-contour flow g*kappa*|grad phi| + <grad g, grad phi>.
+def geodesic_rhs(u: np.ndarray, phi: np.ndarray, params: EvolveParams,
+                 spacing: float = 1.0, *, scratch: Optional[Scratch] = None) -> np.ndarray:
+    """Geodesic active-contour flow g*kappa*|grad phi| + <grad g, grad phi>,
+    summed in the order of the formula into the array that curvature
+    returns. Once it has, g, grad g, grad phi and |grad phi| are built in
+    arrays 0-4 of ``scratch`` (a fresh set when None). Not validated, so
+    that a phi that overflows the curvature stencil gives NaN or Inf rather
+    than an exception.
 
-    u0 is expected pre-smoothed (grid.gaussian_smooth) so the edge detector
+    u is expected pre-smoothed (grid.gaussian_smooth) so the edge detector
     sees finite gradients on noisy imagery; solver.evolve also divides it by
     its gradient level, so that g falls toward 0 at the edges.
     """
-    _check_dims(u0, phi)
-    return phi.like(geodesic_flow_rhs(u0, phi, params))
-
-
-def geodesic_flow_rhs(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
-                      scratch: Optional[Scratch] = None) -> np.ndarray:
-    """geodesic_rhs as a raw array, summed in the order of the formula into
-    the array that curvature returns. Once it has, g, grad g, grad phi and
-    |grad phi| are built in arrays 0-4 of ``scratch`` (a fresh set when
-    None). Not validated, so that a phi that overflows the curvature
-    stencil gives NaN or Inf rather than an exception.
-    """
-    scratch = Scratch.ensure(scratch, phi.data)
-    rhs = curvature(phi.data, phi.spacing, scratch=scratch)
+    scratch = Scratch.ensure(scratch, phi)
+    rhs = curvature(phi, spacing, scratch=scratch)
     g, gx, gy, px, py = scratch.arrays
-    edge_detector(gradient_magnitude(u0.data, u0.spacing, out=(gx, gy, g)), out=g)
-    gradient(g, u0.spacing, out=(gx, gy))
-    gradient(phi.data, phi.spacing, out=(px, py))
+    edge_detector(gradient_magnitude(u, spacing, out=(gx, gy, g)), out=g)
+    gradient(g, spacing, out=(gx, gy))
+    gradient(phi, spacing, out=(px, py))
     return rowwise(_flow_rows, rhs, g, gx, gy, px, py)
 
 
@@ -287,28 +264,27 @@ def _flow_rows(rhs, g, gx, gy, px, py):
     rhs += gy
 
 
-def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
+def energy_region(u: np.ndarray, phi: np.ndarray, inside_target: float,
                   outside_const: float, lam: float, params: EvolveParams,
-                  H: Optional[np.ndarray] = None, *,
+                  spacing: float = 1.0, *, H: Optional[np.ndarray] = None,
                   not_H: Optional[np.ndarray] = None,
                   scratch: Optional[Scratch] = None) -> float:
     """Discrete energy shared by both region models, cell area h^2:
 
-        lam sum (u0 - inside)^2 H + sum (u0 - outside)^2 (1 - H)
+        lam sum (u - inside)^2 H + sum (u - outside)^2 (1 - H)
             + mu sum delta_eps(phi) |grad phi| + nu sum H
 
     with H = heaviside_eps(phi, eps), or ``H`` if the caller has it already,
     and 1 - H likewise, or ``not_H`` (both are read, not written). Each sum
-    is a dot product. The squares (u0 - c)^2 are the data_term arrays of
+    is a dot product. The squares (u - c)^2 are the data_term arrays of
     ``scratch`` (a fresh set when None), which a reused set shares with
     region_rhs; H goes into array 0 and 1 - H into array 1 when not given,
     and arrays 1-4 take the length term. Not validated: a phi whose
     gradient overflows gives NaN or Inf.
     """
-    u = u0.data
-    s = Scratch.ensure(scratch, phi.data)
+    s = Scratch.ensure(scratch, phi)
     if H is None:
-        H = heaviside_eps(phi.data, params.eps, out=s.arrays[0])
+        H = heaviside_eps(phi, params.eps, out=s.arrays[0])
     weight, dx, dy, work = s.arrays[1:]
     if not_H is None:
         not_H = np.subtract(1.0, H, out=weight)
@@ -316,41 +292,38 @@ def energy_region(u0: ScalarField, phi: ScalarField, inside_target: float,
     outside = _dot(s.data_term(1, u, outside_const), not_H)
     area = float(H.sum(dtype=np.float64))
     # length term: delta_eps in weight, |grad phi| in work
-    length = _dot(delta_eps(phi.data, params.eps, out=weight),
-                  gradient_magnitude(phi.data, phi.spacing, out=(dx, dy, work)))
+    length = _dot(delta_eps(phi, params.eps, out=weight),
+                  gradient_magnitude(phi, spacing, out=(dx, dy, work)))
     total = lam * inside + outside + params.mu * length + params.nu * area
-    return total * phi.spacing * phi.spacing
+    return total * spacing * spacing
 
 
-def energy_chan_vese(u0: ScalarField, phi: ScalarField, stats: RegionStats,
-                     params: EvolveParams) -> float:
+def energy_chan_vese(u: np.ndarray, phi: np.ndarray, stats: RegionStats,
+                     params: EvolveParams, spacing: float = 1.0) -> float:
     """energy_region with the Chan-Vese constants (c1, c2) and weight lam."""
-    _check_dims(u0, phi)
-    return energy_region(u0, phi, *region_terms("chan_vese", stats, params), params)
+    return energy_region(u, phi, *region_terms("chan_vese", stats, params), params, spacing)
 
 
-def energy_modified(u0: ScalarField, phi: ScalarField, stats: RegionStats,
-                    params: EvolveParams) -> float:
+def energy_modified(u: np.ndarray, phi: np.ndarray, stats: RegionStats,
+                    params: EvolveParams, spacing: float = 1.0) -> float:
     """energy_region of the modified model: inside constant frozen at
     alpha * max(u0), outside constant c2, no lambda weighting.
     """
-    _check_dims(u0, phi)
-    return energy_region(u0, phi, *region_terms("modified", stats, params), params)
+    return energy_region(u, phi, *region_terms("modified", stats, params), params, spacing)
 
 
-def energy_geodesic(u0: ScalarField, phi: ScalarField, params: EvolveParams, *,
-                    scratch: Optional[Scratch] = None) -> float:
+def energy_geodesic(u: np.ndarray, phi: np.ndarray, params: EvolveParams,
+                    spacing: float = 1.0, *, scratch: Optional[Scratch] = None) -> float:
     """Discrete edge-weighted contour length sum(g * delta_eps(phi) * |grad phi|) h^2;
     the quantity the geodesic flow shortens. Used for the trace only.
     The fields are built in the arrays of ``scratch`` (a fresh set when
     None), and the sum is a dot product.
     """
-    _check_dims(u0, phi)
-    g, delta, dx, dy, grad_mag = Scratch.ensure(scratch, phi.data).arrays
-    edge_detector(gradient_magnitude(u0.data, u0.spacing, out=(dx, dy, g)), out=g)
-    rowwise(_product_rows, g, delta_eps(phi.data, params.eps, out=delta))
-    gradient_magnitude(phi.data, phi.spacing, out=(dx, dy, grad_mag))
-    return _dot(g, grad_mag) * phi.spacing * phi.spacing
+    g, delta, dx, dy, grad_mag = Scratch.ensure(scratch, phi).arrays
+    edge_detector(gradient_magnitude(u, spacing, out=(dx, dy, g)), out=g)
+    rowwise(_product_rows, g, delta_eps(phi, params.eps, out=delta))
+    gradient_magnitude(phi, spacing, out=(dx, dy, grad_mag))
+    return _dot(g, grad_mag) * spacing * spacing
 
 
 def _product_rows(a, b):

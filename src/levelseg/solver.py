@@ -19,23 +19,23 @@ from typing import Optional
 import numpy as np
 
 from . import levelset
-from .grid import ScalarField, Scratch, gaussian_smooth, gradient_magnitude, rowwise
-# mask_inside and the wrappers chan_vese_rhs, modified_rhs, geodesic_rhs,
-# energy_chan_vese and energy_modified are not called here; they stay
-# importable from this module, where perfbench/tracer.py looks them up
+from .grid import (
+    ScalarField, Scratch, _all_finite, gaussian_smooth, gradient_magnitude, rowwise)
+# evolve calls geodesic_rhs and region_rhs; mask_inside and the wrappers
+# chan_vese_rhs, modified_rhs, energy_chan_vese and energy_modified are not
+# called here, but stay importable from this module, where
+# perfbench/tracer.py looks them up
 from .levelset import (  # noqa: F401
     Contour, edge_crossings, extract_contour, mask_inside, reinitialize)
 from .models import (  # noqa: F401
     MODEL_NAMES,
     EvolveParams,
     RegionStats,
-    _check_dims,
     chan_vese_rhs,
     energy_chan_vese,
     energy_geodesic,
     energy_modified,
     energy_region,
-    geodesic_flow_rhs,
     geodesic_rhs,
     modified_rhs,
     region_averages,
@@ -96,9 +96,10 @@ class SegmentationResult:
 
     @property
     def mask(self) -> np.ndarray:
-        """{phi_final >= 0}, built on each access through levelset: tracers
-        of evolve wrap this module's name mask_inside."""
-        return levelset.mask_inside(self.phi_final)
+        """{phi_final >= 0}, built on each access. It calls
+        levelset.mask_inside, not this module's name for it, because the
+        tracers of evolve wrap that name, and the mask is no part of a run."""
+        return levelset.mask_inside(self.phi_final.data)
 
     def to_json(self) -> str:
         """Every field but phi_final as one JSON object, the contour as its
@@ -134,36 +135,36 @@ def stability_dt(params: EvolveParams, model: str, spacing: float = 1.0) -> floa
     return 0.9 / (4.0 * params.mu / h2 + max(lam, 1.0) + abs(params.nu))
 
 
-def _edge_image(u0: ScalarField, scratch: Scratch) -> ScalarField:
-    """The image the geodesic kernels see: G*u0 (grid.gaussian_smooth)
-    divided by beta, the EDGE_PERCENTILE-th percentile of |grad(G*u0)|, so
-    that their edge detector reads g = 1 / (1 + |grad(G*u0)|^2 / beta^2).
+def _edge_image(u: np.ndarray, spacing: float, scratch: Scratch) -> np.ndarray:
+    """The image the geodesic kernels see: G*u (grid.gaussian_smooth)
+    divided by beta, the EDGE_PERCENTILE-th percentile of |grad(G*u)|, so
+    that their edge detector reads g = 1 / (1 + |grad(G*u)|^2 / beta^2).
     beta is Perona & Malik's contrast K: without it, g stays near 1 on
     [0, 1] input and the flow does not stop at the edges. The magnitude is
     taken in arrays 0-2 of ``scratch``, and the smoothed array is divided
     in place. When beta is 0 (a flat image, or edges on under a tenth of
     the pixels) the smoothed image is returned unscaled.
     """
-    smooth = gaussian_smooth(u0)
-    z = gradient_magnitude(smooth.data, smooth.spacing, out=scratch.arrays[:3])
+    smooth = gaussian_smooth(u)
+    z = gradient_magnitude(smooth, spacing, out=scratch.arrays[:3])
     beta = float(np.percentile(z, EDGE_PERCENTILE, overwrite_input=True))
     if beta > 0.0:
-        np.divide(smooth.data, beta, out=smooth.data)
+        np.divide(smooth, beta, out=smooth)
     return smooth
 
 
-def _stats_and_energy(model, u0, u_model, phi, params, scratch):
+def _stats_and_energy(model, u, u_model, phi, params, h, scratch):
     """Region stats of phi, the region_terms of a region model (None for the
     geodesic flow) and the energy at phi, with ``scratch`` as work space.
     The region models get the H_eps-weighted constants, and their energy
     reuses that H_eps and 1 - H_eps, which weighted_averages leaves in
     arrays 0 and 1 of the set."""
-    stats = region_averages(u0, phi, scratch=scratch)
+    stats = region_averages(u, phi, scratch=scratch)
     if model == "geodesic":
-        return stats, None, energy_geodesic(u_model, phi, params, scratch=scratch)
-    stats, H = weighted_averages(u0, phi, stats, params.eps, scratch=scratch)
+        return stats, None, energy_geodesic(u_model, phi, params, h, scratch=scratch)
+    stats, H = weighted_averages(u, phi, stats, params.eps, scratch=scratch)
     terms = region_terms(model, stats, params)
-    return stats, terms, energy_region(u0, phi, *terms, params, H=H,
+    return stats, terms, energy_region(u, phi, *terms, params, h, H=H,
                                        not_H=scratch.arrays[1], scratch=scratch)
 
 
@@ -210,19 +211,24 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
     detector, so that g falls toward 0 at u0's edges.
     """
     params.validate()
-    _check_dims(u0, phi0)
+    h = u0.spacing
+    if u0.data.shape != phi0.data.shape or h != phi0.spacing:
+        raise ValueError(
+            f"image and level set grids differ: {u0.data.shape} at h = {h} "
+            f"vs {phi0.data.shape} at h = {phi0.spacing}"
+        )
     if u0.data.min() < -1e-9 or u0.data.max() > 1.0 + 1e-9:
         raise ValueError(
             "u0 must be normalized to [0, 1] (min-max normalize it first); "
             f"got range [{u0.data.min():.4g}, {u0.data.max():.4g}]"
         )
 
-    dt = stability_dt(params, model, u0.spacing)
-    phi = phi0
-    u0 = u0.like(u0.data.astype(np.float32, copy=False))
+    dt = stability_dt(params, model, h)
+    phi = phi0.data
+    u = u0.data.astype(np.float32, copy=False)
     # work space of every kernel of the step for this run
-    scratch = Scratch(phi.data.shape, np.float32)
-    u_model = _edge_image(u0, scratch) if model == "geodesic" else u0
+    scratch = Scratch(phi.shape, np.float32)
+    u_model = _edge_image(u, h, scratch) if model == "geodesic" else u
     stop_reason = "max_iters"
     diagnostics = None
     streak = 0
@@ -230,36 +236,35 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
 
     # an overflowing phi must reach the finiteness check as NaN/Inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
-        crossings = edge_crossings(phi.data)
+        stats, terms, energy = _stats_and_energy(model, u, u_model, phi, params, h, scratch)
+        crossings = edge_crossings(phi)
         trace = [_row(0, energy, terms, "step", None, stats, crossings)]
 
         for it in range(1, params.max_iters + 1):
             # the rhs becomes the new phi in place: rhs * dt + phi
-            new_data = (geodesic_flow_rhs(u_model, phi, params, scratch=scratch)
+            new_data = (geodesic_rhs(u_model, phi, params, h, scratch=scratch)
                         if terms is None
-                        else region_rhs(u0, phi, *terms, params, scratch=scratch))
-            rowwise(_advance_rows, new_data, dt, phi.data)
-            try:
-                # the field's own check is the step's one finiteness check
-                phi = phi.like(new_data)
-            except ValueError:
+                        else region_rhs(u, phi, *terms, params, h, scratch=scratch))
+            rowwise(_advance_rows, new_data, dt, phi)
+            # the step's one finiteness check, the one ScalarField runs
+            if not _all_finite(new_data):
                 stop_reason = "stalled"
                 diagnostics = (
                     f"phi went non-finite at iteration {it} "
                     f"(dt={dt:.4g}, model={model}); returning partial result"
                 )
                 break
-            # phi holds the step now; a reinit below replaces it, and the
+            # phi is the step now; a reinit below replaces it, and the
             # step's array must not stay alive into the next step
+            phi = new_data
             del new_data
             event = "step"
             if params.reinit_every > 0 and it % params.reinit_every == 0:
-                phi = reinitialize(phi, REINIT_SWEEPS, scratch=scratch)
+                phi = reinitialize(phi, REINIT_SWEEPS, h, scratch=scratch)
                 event = "reinit"
-            stats, terms, energy = _stats_and_energy(model, u0, u_model, phi, params, scratch)
+            stats, terms, energy = _stats_and_energy(model, u, u_model, phi, params, h, scratch)
             # the last step's crossings against this step's, which replace them
-            moved = _interface_motion(crossings, crossings := edge_crossings(phi.data))
+            moved = _interface_motion(crossings, crossings := edge_crossings(phi))
             trace.append(_row(it, energy, terms, event, moved, stats, crossings))
             iterations_run = it
             streak = streak + 1 if moved < params.stop_tol else 0
@@ -267,12 +272,12 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
                 stop_reason = "converged"
                 break
 
-    # phi's data is a view of the curvature's h x (w + 2) run buffer; the result
-    # keeps an h x w copy, made once the work set and the edge masks are freed
+    # phi views the curvature's height x (width + 2) run buffer; the result
+    # keeps a copy of its pixels, made once the work set and edge masks are freed
     del scratch, crossings
-    phi = phi.like(phi.data.copy())
+    phi = phi.copy()
     return SegmentationResult(
-        phi_final=phi,
+        phi_final=ScalarField(phi, h),
         contour=extract_contour(phi),
         energy_trace=trace,
         stats_final=stats,

@@ -77,7 +77,7 @@ def threshold_start(model, u, params):
         t, last = float(inside + u[u < t].mean()) / 2.0, t
         if t == last:
             break
-    return reinitialize(ScalarField(np.clip(20.0 * (u - t), -2.0, 2.0)), 10)
+    return ScalarField(reinitialize(np.clip(20.0 * (u - t), -2.0, 2.0), 10))
 
 
 def iou(mask, truth):

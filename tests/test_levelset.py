@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from levelseg.grid import ScalarField, Scratch, gradient_magnitude
+from levelseg.grid import Scratch, gradient_magnitude
 from levelseg.levelset import (
     PERIOD,
     Contour,
@@ -146,7 +146,7 @@ class TestPeriodicInit:
 
     @pytest.mark.parametrize("width, height", [(24, 24), (300, 90)])
     def test_both_signs(self, width, height):
-        inside = mask_inside(signed_distance(default_seed_grid(width, height), width, height))
+        inside = mask_inside(signed_distance(default_seed_grid(width, height), width, height).data)
         assert inside.any() and not inside.all()
 
     def test_zero_level_on_every_fifth_line(self):
@@ -158,27 +158,27 @@ class TestPeriodicInit:
 
 class TestMaskInside:
     def test_uniform_fields(self):
-        plus = ScalarField(np.full((8, 8), 1.0))
-        minus = ScalarField(np.full((8, 8), -1.0))
+        plus = np.full((8, 8), 1.0)
+        minus = np.full((8, 8), -1.0)
         assert mask_inside(plus).all()
         assert not mask_inside(minus).any()
 
     def test_disk_area(self):
-        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
+        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
         count = mask_inside(phi).sum()
         assert abs(count - np.pi * 100.0) <= 0.03 * np.pi * 100.0
 
     def test_partition(self):
         rng = np.random.default_rng(2)
-        phi = ScalarField(rng.normal(size=(16, 16)))
+        phi = rng.normal(size=(16, 16))
         inside = mask_inside(phi)
-        flipped = mask_inside(ScalarField(-phi.data))
+        flipped = mask_inside(-phi)
         both = inside & flipped
         assert (inside | flipped).all()
-        assert np.array_equal(both, phi.data == 0.0)
+        assert np.array_equal(both, phi == 0.0)
 
 
-def extract_contour_reference(phi: ScalarField) -> Contour:
+def extract_contour_reference(phi: np.ndarray) -> Contour:
     """The marching-squares walk as first written, over a dict of neighbour
     lists built cell by cell; extract_contour must give the same loops, in
     the same order, with the same vertex bytes and closed flags."""
@@ -191,7 +191,7 @@ def extract_contour_reference(phi: ScalarField) -> Contour:
         3: [(3, 1)], 12: [(3, 1)],
         6: [(0, 2)], 9: [(0, 2)],
     }
-    d = phi.data
+    d = phi
     h, w = d.shape
     inside = d >= 0.0
     if inside.all() or not inside.any():
@@ -246,7 +246,7 @@ def extract_contour_reference(phi: ScalarField) -> Contour:
     return Contour(loops=loops, closed=closed)
 
 
-def assert_same_contour(phi: ScalarField) -> None:
+def assert_same_contour(phi: np.ndarray) -> None:
     contour, expected = extract_contour(phi), extract_contour_reference(phi)
     assert [loop.tobytes() for loop in contour.loops] == [loop.tobytes() for loop in expected.loops]
     assert contour.closed == expected.closed
@@ -254,37 +254,36 @@ def assert_same_contour(phi: ScalarField) -> None:
 
 class TestExtractContour:
     def test_circle_radius(self):
-        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
+        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
         contour = extract_contour(phi)
         assert len(contour) == 1
         radii = np.hypot(*(contour.loops[0] - np.array([32.0, 32.0])).T)
         assert abs(radii.mean() - 10.0) <= 0.2
 
     def test_circle_vertices_near_analytic(self):
-        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
+        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
         verts = extract_contour(phi).vertices()
         dist = np.abs(np.hypot(verts[:, 0] - 32.0, verts[:, 1] - 32.0) - 10.0)
         assert dist.max() < 0.5
 
     def test_uniform_sign_empty(self):
-        assert extract_contour(ScalarField(np.full((8, 8), 2.0))).empty
-        assert extract_contour(ScalarField(np.full((8, 8), -2.0))).empty
+        assert extract_contour(np.full((8, 8), 2.0)).empty
+        assert extract_contour(np.full((8, 8), -2.0)).empty
 
     def test_negation_same_vertices(self):
         # same zero set; orientation and duplicate handling may differ, in
         # particular where phi is exactly zero on a grid point, so compare
         # the vertex sets
-        phi = signed_distance(InitShape.circle_grid(2, 2, 6, 48, 48), 48, 48)
+        phi = signed_distance(InitShape.circle_grid(2, 2, 6, 48, 48), 48, 48).data
         v1 = extract_contour(phi).vertices()
-        v2 = extract_contour(ScalarField(-phi.data)).vertices()
+        v2 = extract_contour(-phi).vertices()
         s1 = set(map(tuple, np.round(v1, 9)))
         s2 = set(map(tuple, np.round(v2, 9)))
         assert s1 == s2
 
     def test_vertices_interpolate_to_zero(self):
-        phi = signed_distance(InitShape.circle(20, 22, 9.3), 44, 44)
-        contour = extract_contour(phi)
-        d = phi.data
+        d = signed_distance(InitShape.circle(20, 22, 9.3), 44, 44).data
+        contour = extract_contour(d)
         for x, y in contour.vertices():
             x0, y0 = int(np.floor(x)), int(np.floor(y))
             fx, fy = x - x0, y - y0
@@ -310,19 +309,19 @@ class TestExtractContour:
         (h_keys, h_t, _), (v_keys, v_t, _) = edge_crossings(phi)
         expected = sorted([(k % w + t, k // w) for k, t in zip(h_keys, h_t)]
                           + [(k % w, k // w + t) for k, t in zip(v_keys, v_t)])
-        assert sorted(map(tuple, extract_contour(ScalarField(phi)).vertices().tolist())) == expected
+        assert sorted(map(tuple, extract_contour(phi).vertices().tolist())) == expected
 
     @pytest.mark.filterwarnings("error")
     def test_saddle_centre_near_the_largest_float(self):
         # the saddle's corners sum past the largest float; their quarters do not
         phi = np.full((8, 8), -1.0)
         phi[3, 3] = phi[4, 4] = 1.7e308
-        contour = extract_contour(ScalarField(phi))
+        contour = extract_contour(phi)
         assert contour.closed == [True]
         assert len(contour.loops[0]) == 8  # one loop around both pixels
 
     def test_grid_of_circles_yields_loops(self):
-        phi = signed_distance(InitShape.circle_grid(2, 2, 6, 64, 64), 64, 64)
+        phi = signed_distance(InitShape.circle_grid(2, 2, 6, 64, 64), 64, 64).data
         contour = extract_contour(phi)
         assert len(contour.loops) == 4
         assert all(contour.closed)
@@ -331,7 +330,7 @@ class TestExtractContour:
         x = np.arange(20, dtype=float)
         phi = signed_distance(InitShape.circle(13, 8, 4), 20, 16).data
         phi = np.maximum(phi, 4.5 - x)  # inside band along the left border
-        contour = extract_contour(ScalarField(phi))
+        contour = extract_contour(phi)
         assert contour.closed == [False, True]
         line, loop = contour.loops
         assert np.all(line[:, 0] == 4.5)
@@ -348,21 +347,19 @@ class TestExtractContour:
             d = rng.normal(size=(height, width))
             if i % 3 == 0:
                 d[rng.random(d.shape) < 0.3] = 0.0
-            assert_same_contour(ScalarField(d))
+            assert_same_contour(d)
 
     @pytest.mark.parametrize("n, start", [(256, "circles"), (128, "periodic"),
                                           (256, "periodic"), (512, "periodic")])
     def test_equals_the_reference_walk_on_the_starts(self, n, start):
         shape = (InitShape.circle_grid(4, 4, n / 10, n, n) if start == "circles"
                  else default_seed_grid(n, n))
-        assert_same_contour(signed_distance(shape, n, n))
+        assert_same_contour(signed_distance(shape, n, n).data)
 
 
-def reinitialize_reference(phi: ScalarField, iterations: int) -> np.ndarray:
+def reinitialize_reference(d0: np.ndarray, iterations: int, h: float = 1.0) -> np.ndarray:
     """The Godunov sweep as first written, with padded copies and both
     one-sided differences; reinitialize must give the same bits."""
-    h = phi.spacing
-    d0 = phi.data
     sign = d0 / np.sqrt(d0 * d0 + h * h)
     positive = d0 > 0
     negative = d0 < 0
@@ -398,67 +395,66 @@ class TestReinitialize:
         d = rng.normal(size=(height, width)) * 3.0
         d[rng.random(d.shape) < 0.1] = 0.0  # pixels on the zero level
         d[0, 0] = -0.0
-        phi = ScalarField(d, spacing)
-        expected = reinitialize_reference(phi, 12).tobytes()
-        assert reinitialize(phi, 12).data.tobytes() == expected
+        expected = reinitialize_reference(d, 12, spacing).tobytes()
+        assert reinitialize(d, 12, spacing).tobytes() == expected
         scratch = Scratch(d.shape)
-        assert reinitialize(phi, 12, scratch=scratch).data.tobytes() == expected
+        assert reinitialize(d, 12, spacing, scratch=scratch).tobytes() == expected
         # a set reused for another phi keeps nothing of it
-        reinitialize(ScalarField(5.0 - 2.0 * d, spacing), 3, scratch=scratch)
-        out = reinitialize(phi, 12, scratch=scratch)
-        assert out.data.tobytes() == expected
-        assert not any(np.shares_memory(out.data, work) for work in scratch.arrays)
+        reinitialize(5.0 - 2.0 * d, 3, spacing, scratch=scratch)
+        out = reinitialize(d, 12, spacing, scratch=scratch)
+        assert out.tobytes() == expected
+        assert not any(np.shares_memory(out, work) for work in scratch.arrays)
 
     def test_zero_sweeps_copy_phi(self):
-        phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32)
+        phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32).data
         out = reinitialize(phi, 0)
-        assert out.data.tobytes() == phi.data.tobytes()
-        assert not np.shares_memory(out.data, phi.data)
+        assert out.tobytes() == phi.tobytes()
+        assert not np.shares_memory(out, phi)
 
     def test_exact_sdf_is_near_fixed_point(self):
         # the discrete stationary state of the upwind relaxation differs
         # from the analytic distance by O(h * curvature), worst at the
         # medial axis; near the interface the field barely moves and the
         # zero level itself is pinned far below the 0.5 px contract
-        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
+        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
         out = reinitialize(phi, iterations=10)
-        diff = np.abs(out.data - phi.data)
-        assert diff[np.abs(phi.data) <= 1.5].max() < 0.1
+        diff = np.abs(out - phi)
+        assert diff[np.abs(phi) <= 1.5].max() < 0.1
         moved = hausdorff(extract_contour(phi).vertices(),
                           extract_contour(out).vertices())
         assert moved < 0.1
 
     def test_restores_unit_gradient(self):
-        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
-        scaled = ScalarField(3.0 * phi.data)
+        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
+        scaled = 3.0 * phi
         out = reinitialize(scaled, iterations=40)
-        mag = gradient_magnitude(out.data, out.spacing)
-        near = np.abs(phi.data) < 5.0
+        mag = gradient_magnitude(out)
+        near = np.abs(phi) < 5.0
         frac = ((mag[near] > 0.9) & (mag[near] < 1.1)).mean()
         assert frac >= 0.9
 
     def test_zero_level_stays_put(self):
-        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
-        scaled = ScalarField(3.0 * phi.data)
+        phi = signed_distance(InitShape.circle(32, 32, 10), 64, 64).data
+        scaled = 3.0 * phi
         before = extract_contour(scaled).vertices()
         after = extract_contour(reinitialize(scaled, iterations=40)).vertices()
         assert hausdorff(before, after) < 0.5
 
     def test_zero_level_stays_put_multi(self):
-        phi = signed_distance(InitShape.circle_grid(3, 3, 6, 96, 96), 96, 96)
-        warped = ScalarField(phi.data * (1.5 + 0.5 * np.tanh(phi.data / 4.0)))
+        phi = signed_distance(InitShape.circle_grid(3, 3, 6, 96, 96), 96, 96).data
+        warped = phi * (1.5 + 0.5 * np.tanh(phi / 4.0))
         before = extract_contour(warped).vertices()
         after = extract_contour(reinitialize(warped, iterations=20)).vertices()
         assert hausdorff(before, after) < 0.5
 
     def test_rejects_negative_iterations(self):
-        phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32)
+        phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32).data
         with pytest.raises(ValueError):
             reinitialize(phi, iterations=-1)
 
     @pytest.mark.parametrize("iterations", [True, 2.5, 3.0])
     def test_rejects_iterations_that_are_not_integers(self, iterations):
-        phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32)
+        phi = signed_distance(InitShape.circle(16, 16, 6), 32, 32).data
         with pytest.raises(ValueError):
             reinitialize(phi, iterations=iterations)
 

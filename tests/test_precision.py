@@ -25,7 +25,7 @@ from levelseg.levelset import InitShape, reinitialize, signed_distance
 from levelseg.models import (
     EvolveParams,
     _dot,
-    geodesic_flow_rhs,
+    geodesic_rhs,
     region_averages,
     region_rhs,
     weighted_averages,
@@ -54,11 +54,9 @@ KERNELS = {
     "heaviside_eps": lambda u, phi: heaviside_eps(phi, 0.3),
     "delta_eps": lambda u, phi: delta_eps(phi, 0.3),
     "edge_detector": lambda u, phi: edge_detector(gradient_magnitude(u, 0.5)),
-    "reinitialize": lambda u, phi: reinitialize(ScalarField(phi, 0.5), 5).data,
-    "region_rhs": lambda u, phi: region_rhs(ScalarField(u, 0.5), ScalarField(phi, 0.5),
-                                            0.7, 0.2, PARAMS.lam, PARAMS),
-    "geodesic_flow_rhs": lambda u, phi: geodesic_flow_rhs(ScalarField(u, 0.5),
-                                                          ScalarField(phi, 0.5), PARAMS),
+    "reinitialize": lambda u, phi: reinitialize(phi, 5, 0.5),
+    "region_rhs": lambda u, phi: region_rhs(u, phi, 0.7, 0.2, PARAMS.lam, PARAMS, 0.5),
+    "geodesic_rhs": lambda u, phi: geodesic_rhs(u, phi, PARAMS, 0.5),
 }
 
 
@@ -93,9 +91,8 @@ def test_a_scratch_sets_the_dtype_of_what_a_kernel_makes(dtype):
     assert all(a.dtype == dtype for a in (*scratch.arrays, scratch.padded))
     assert curvature(phi, 0.5, scratch=scratch).dtype == dtype
     assert scratch.data_term(0, u, 0.3).dtype == dtype
-    assert reinitialize(ScalarField(phi, 0.5), 3, scratch=scratch).data.dtype == dtype
-    rhs = region_rhs(ScalarField(u, 0.5), ScalarField(phi, 0.5), 0.7, 0.2, 1.0, PARAMS,
-                     scratch=scratch)
+    assert reinitialize(phi, 3, 0.5, scratch=scratch).dtype == dtype
+    rhs = region_rhs(u, phi, 0.7, 0.2, 1.0, PARAMS, 0.5, scratch=scratch)
     assert rhs.dtype == dtype
 
 
@@ -130,8 +127,7 @@ def test_weighted_averages_accumulate_in_float64():
     rng = np.random.default_rng(4)
     u = rng.uniform(0.5, 1.0, size=(256, 256)).astype(np.float32)
     phi = rng.uniform(-3.0, 3.0, size=(256, 256)).astype(np.float32)
-    u0, phi0 = ScalarField(u), ScalarField(phi)
-    stats, H = weighted_averages(u0, phi0, region_averages(u0, phi0), 1.0)
+    stats, H = weighted_averages(u, phi, region_averages(u, phi), 1.0)
     assert H.dtype == np.float32
     not_H = np.float32(1.0) - H
     c1 = math.fsum((u.astype(np.float64) * H).ravel().tolist()) / exact_sum(H)

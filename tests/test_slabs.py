@@ -40,7 +40,7 @@ from levelseg.models import (
     EvolveParams,
     energy_geodesic,
     energy_region,
-    geodesic_flow_rhs,
+    geodesic_rhs,
     region_averages,
     region_rhs,
     weighted_averages,
@@ -77,34 +77,34 @@ def fields(height, width, spacing):
 def outputs(kernel, u0, phi):
     """The arrays and numbers a kernel gives on (u0, phi), as one byte string."""
     params = EvolveParams(mu=0.2, nu=0.1, lam=1.5)
-    scratch = Scratch(phi.data.shape, phi.data.dtype)
+    h = phi.spacing
+    u0, phi = u0.data, phi.data
+    scratch = Scratch(phi.shape, phi.dtype)
     smooth = gaussian_smooth(u0)
     if kernel == "curvature":
-        got = [curvature(phi.data, phi.spacing), curvature(phi.data, phi.spacing,
-                                                           scratch=scratch)]
+        got = [curvature(phi, h), curvature(phi, h, scratch=scratch)]
     elif kernel == "gradient":
-        got = [*gradient(phi.data, phi.spacing), *gradient(u0.data, u0.spacing)]
+        got = [*gradient(phi, h), *gradient(u0, h)]
     elif kernel == "gradient_magnitude":
-        got = [gradient_magnitude(phi.data, phi.spacing),
-               gradient_magnitude(smooth.data, smooth.spacing)]
+        got = [gradient_magnitude(phi, h), gradient_magnitude(smooth, h)]
     elif kernel == "heaviside_and_delta":
-        eps_rows = np.linspace(0.5, 2.0, phi.height)[:, None]
-        got = [f(phi.data, eps) for f in (heaviside_eps, delta_eps)
+        eps_rows = np.linspace(0.5, 2.0, phi.shape[0])[:, None]
+        got = [f(phi, eps) for f in (heaviside_eps, delta_eps)
                for eps in (1.0, 0.5, 0.3, eps_rows)]
     elif kernel == "edge_detector":
-        got = [edge_detector(gradient_magnitude(smooth.data, smooth.spacing))]
+        got = [edge_detector(gradient_magnitude(smooth, h))]
     elif kernel == "reinitialize":
-        got = [reinitialize(phi, 12, scratch=scratch).data]
+        got = [reinitialize(phi, 12, h, scratch=scratch)]
     elif kernel == "region":
         stats, H = weighted_averages(u0, phi, region_averages(u0, phi), params.eps,
                                      scratch=scratch)
-        rhs = region_rhs(u0, phi, stats.c1, stats.c2, params.lam, params, scratch=scratch)
-        energy = energy_region(u0, phi, stats.c1, stats.c2, params.lam, params, H=H,
+        rhs = region_rhs(u0, phi, stats.c1, stats.c2, params.lam, params, h, scratch=scratch)
+        energy = energy_region(u0, phi, stats.c1, stats.c2, params.lam, params, h, H=H,
                                scratch=scratch)
         got = [rhs, np.array([stats.c1, stats.c2, energy])]
     elif kernel == "geodesic":
-        rhs = geodesic_flow_rhs(smooth, phi, params, scratch=scratch)
-        got = [rhs, np.array([energy_geodesic(smooth, phi, params, scratch=scratch)])]
+        rhs = geodesic_rhs(smooth, phi, params, h, scratch=scratch)
+        got = [rhs, np.array([energy_geodesic(smooth, phi, params, h, scratch=scratch)])]
     return b"".join(a.tobytes() for a in got)
 
 
@@ -134,14 +134,16 @@ class TestSlabsEqualOneSlab:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_kernel_is_bit_identical_in_float32(self, monkeypatch, kernel, height, width,
                                                 spacing):
-        u0, phi = (f.like(f.data.astype(np.float32)) for f in fields(height, width, spacing))
+        u0, phi = (ScalarField(f.data.astype(np.float32), f.spacing)
+                   for f in fields(height, width, spacing))
         assert_slabs_equal_one_slab(monkeypatch, kernel, u0, phi)
 
     @pytest.mark.parametrize("height, width, spacing", SHAPES)
     def test_reinitialize_equals_the_reference_sweep(self, monkeypatch, height, width, spacing):
         _, phi = fields(height, width, spacing)
         use_slabs(monkeypatch, 3)
-        assert reinitialize(phi, 12).data.tobytes() == reinitialize_reference(phi, 12).tobytes()
+        assert reinitialize(phi.data, 12, spacing).tobytes() \
+            == reinitialize_reference(phi.data, 12, spacing).tobytes()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("count", [1, 2, 3])

@@ -162,6 +162,26 @@ class TestEvolveBasics:
         assert phi0.data.tobytes() == before
         assert not np.shares_memory(res.phi_final.data, phi0.data)
 
+    @pytest.mark.parametrize("model", models.MODEL_NAMES)
+    def test_fields_are_checked_only_at_entry_and_exit(self, model, monkeypatch):
+        # the loop holds phi as an array, so 40 steps, with a reinitialization
+        # among them, build as many fields as 5 steps do
+        u0 = normalized_disk()
+        phi0 = signed_distance(InitShape.circle(30, 33, 8), 64, 64)
+        check = ScalarField.__post_init__
+        counts = []
+
+        def counted(field):
+            counts[-1] += 1
+            check(field)
+
+        monkeypatch.setattr(ScalarField, "__post_init__", counted)
+        for max_iters in (5, 40):
+            counts.append(0)
+            res = evolve(model, u0, phi0, EvolveParams(max_iters=max_iters, stop_tol=0.0))
+            assert res.iterations_run == max_iters
+        assert counts[0] == counts[1]
+
     def test_mask_matches_phi_sign(self):
         u0 = normalized_disk()
         phi0 = signed_distance(InitShape.circle(32, 32, 10), 64, 64)
@@ -235,7 +255,7 @@ class TestEvolveBasics:
         res = evolve("chan_vese", u0, phi0, EvolveParams(mu=5.0, nu=0.0, max_iters=50))
         assert res.stop_reason == "converged"
         assert res.iterations_run <= 50
-        moved = hausdorff(extract_contour(phi0).vertices(), res.contour.vertices())
+        moved = hausdorff(extract_contour(phi0.data).vertices(), res.contour.vertices())
         assert moved <= 1.0
 
     def test_subpixel_motion_is_not_still(self):
@@ -346,8 +366,8 @@ class TestEdgeImage:
         assert score >= 0.98
         # the advection term <grad g, grad phi> moves the zero level by at
         # most dt * max|grad g| px per step, with |grad phi| ~ 1
-        edge = _edge_image(u0, Scratch(u0.data.shape))
-        g = edge_detector(gradient_magnitude(edge.data))
+        edge = _edge_image(u0.data, u0.spacing, Scratch(u0.data.shape))
+        g = edge_detector(gradient_magnitude(edge))
         assert res.dt_used * magnitude(*gradient(g)).max() < 0.5
 
     def test_contrast_does_not_change_the_run(self):
@@ -356,13 +376,13 @@ class TestEdgeImage:
         u0, truth = three_disc_image()
         params = EvolveParams(mu=0.2, max_iters=60, stop_tol=0.0)
         runs = [evolve("geodesic", u, grown_start(truth), params).phi_final.data
-                for u in (u0, u0.like(0.5 * u0.data))]
+                for u in (u0, ScalarField(0.5 * u0.data))]
         assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_gradient_level_is_one(self):
         u0, _ = three_disc_image()
-        edge = _edge_image(u0, Scratch(u0.data.shape))
-        level = np.percentile(gradient_magnitude(edge.data), EDGE_PERCENTILE)
+        edge = _edge_image(u0.data, u0.spacing, Scratch(u0.data.shape))
+        level = np.percentile(gradient_magnitude(edge), EDGE_PERCENTILE)
         assert level == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("image", [
@@ -371,9 +391,8 @@ class TestEdgeImage:
         normalized_disk(128, 128, 64.0, 64.0, 25.0).data,
     ], ids=["constant", "clean_disc"])
     def test_unscaled_without_a_gradient_level(self, image):
-        u0 = ScalarField(image)
-        edge = _edge_image(u0, Scratch(image.shape))
-        assert edge.data.tobytes() == gaussian_smooth(u0).data.tobytes()
+        edge = _edge_image(image, 1.0, Scratch(image.shape))
+        assert edge.tobytes() == gaussian_smooth(image).tobytes()
 
 
 def degenerate_case(case):
@@ -463,7 +482,7 @@ class TestInterfaceMotion:
         (h_keys, h_t, _), _ = edge_crossings(phi)
         assert np.all(np.isfinite(h_t))
         assert h_t[list(h_keys).index(5)] == 0.0
-        assert np.all(np.isfinite(extract_contour(ScalarField(phi)).vertices()))
+        assert np.all(np.isfinite(extract_contour(phi).vertices()))
 
 
 class TestOneStencil:
@@ -643,7 +662,7 @@ class TestRegionConstants:
         assert res.stats_final.empty_inside
         assert res.stats_final.c1 == pytest.approx(u0.data.mean())
         # and H rounds to exactly 1, so the outside weight sum is 0
-        res = evolve("chan_vese", u0, phi0.like(-phi0.data), EvolveParams(max_iters=0))
+        res = evolve("chan_vese", u0, ScalarField(-phi0.data), EvolveParams(max_iters=0))
         assert res.stats_final.empty_outside and not res.stats_final.empty_inside
         assert res.stats_final.c2 == pytest.approx(u0.data.mean())
 
@@ -674,7 +693,7 @@ class TestTraceRows:
         res = evolve(model, u0, phi0, EvolveParams(mu=0.2, max_iters=8, stop_tol=0.0))
         first, last = res.energy_trace[0], res.energy_trace[-1]
         assert first.n_inside == np.count_nonzero(phi0.data >= 0.0)
-        assert first.crossings == len(extract_contour(phi0).vertices())
+        assert first.crossings == len(extract_contour(phi0.data).vertices())
         # every crossing is a vertex of exactly one loop of the contour
         assert last.n_inside == res.stats_final.n_inside == np.count_nonzero(res.mask)
         assert last.crossings == len(res.contour.vertices())
