@@ -375,8 +375,9 @@ class Scratch:
     - levelset.reinitialize uses all five arrays;
     - region_rhs takes array 2 for delta_eps and, once curvature has
       returned, array 0 for lam * (u - c)^2 when lam is not 1;
-    - weighted_averages writes H_eps into array 0 and 1 - H_eps into array 1,
-      and returns array 0 as H, which energy_region reads and leaves as is;
+    - region_averages with eps writes H_eps into array 0 and 1 - H_eps
+      into array 1, which energy_region reads as H and not_H and leaves as
+      they are;
     - geodesic_rhs builds g, grad g, grad phi and |grad phi| in arrays
       0-4, once curvature has returned;
     - energy_region and energy_geodesic use arrays 1-4 (energy_geodesic
@@ -384,7 +385,7 @@ class Scratch:
     - before a geodesic run's first step, solver._edge_image takes the
       smoothed image's gradient magnitude in arrays 0-2.
 
-    Apart from that H, no kernel returns one of these arrays.
+    No kernel returns one of these arrays.
 
     The set also keeps what depends only on the image: the mean and max of
     the image (image_stats) and two data-term arrays (u - c)^2

@@ -13,7 +13,7 @@ scale-agnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -84,13 +84,12 @@ class EvolveParams:
 class RegionStats:
     """Region constants of the current partition: c1 inside, c2 outside,
     the pixel counts of {phi >= 0} and {phi < 0}, and the global intensity
-    maximum used by the modified model's inside target. An empty region has
-    the global mean as its constant and a count of 0, which its flag reads.
-    region_terms turns them into the constants a region model steps with.
-
-    region_averages gives c1 and c2 as plain means over {phi >= 0} and
-    {phi < 0}; weighted_averages replaces them with the H_eps-weighted means
-    that evolve steps and traces the region models with.
+    maximum used by the modified model's inside target. region_averages
+    gives c1 and c2 as plain means over the two regions, or, with eps, as
+    the H_eps-weighted means that evolve steps and traces the region models
+    with. An empty region has the global mean as its constant and a count
+    of 0. region_terms turns them into the constants a region model steps
+    with.
     """
 
     c1: float
@@ -98,14 +97,6 @@ class RegionStats:
     n_inside: int
     n_outside: int
     max_intensity: float
-
-    @property
-    def empty_inside(self) -> bool:
-        return self.n_inside == 0
-
-    @property
-    def empty_outside(self) -> bool:
-        return self.n_outside == 0
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -115,24 +106,40 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel(), dtype=np.float64))
 
 
-def region_averages(u: np.ndarray, phi: np.ndarray, *,
+def region_averages(u: np.ndarray, phi: np.ndarray, eps: Optional[float] = None, *,
                     scratch: Optional[Scratch] = None) -> RegionStats:
-    """Mean intensity inside {phi >= 0} and outside {phi < 0}.
+    """Region constants and pixel counts of {phi >= 0} and {phi < 0}.
+
+    Without ``eps``, c1 and c2 are the plain means over the two regions.
+    With it, they are the constants that minimize the region energies at
+    fixed phi (Chan & Vese 2001, eq. 6): c1 = sum(u H) / sum(H) and
+    c2 = sum(u (1 - H)) / sum(1 - H), with H = heaviside_eps(phi, eps).
+    H and 1 - H are then left in arrays 0 and 1 of ``scratch`` (a fresh
+    set when None), where energy_region can take them as H and not_H.
 
     A transiently empty region gets the global mean instead of NaN so the
-    evolution can continue; its count of 0 records the degeneracy. The global
-    mean and max come from ``scratch`` when given, which computes them once
-    per image.
+    evolution can continue; its count of 0 records the degeneracy. A
+    weight sum is 0 only then, since H_eps >= 1/2 where phi >= 0 and
+    1 - H_eps >= 1/2 where phi < 0. The global mean and max come from
+    ``scratch`` when given, which computes them once per image.
     """
     inside = phi.ravel() >= 0.0
     n_in = int(np.count_nonzero(inside))
     n_out = u.size - n_in
     global_mean, max_intensity = (image_stats(u) if scratch is None
                                   else scratch.image_stats(u))
-    # sums over the mask as dot products, without copying u[inside]
-    c1 = _dot(u, inside) / n_in if n_in else global_mean
-    np.logical_not(inside, out=inside)
-    c2 = _dot(u, inside) / n_out if n_out else global_mean
+    if eps is None:
+        # sums over the mask as dot products, without copying u[inside]
+        c1 = _dot(u, inside) / n_in if n_in else global_mean
+        np.logical_not(inside, out=inside)
+        c2 = _dot(u, inside) / n_out if n_out else global_mean
+    else:
+        H, not_H = Scratch.ensure(scratch, phi).arrays[:2]
+        heaviside_eps(phi, eps, out=H)
+        rowwise(_complement_rows, not_H, H)
+        sum_in, sum_out = float(H.sum(dtype=np.float64)), float(not_H.sum(dtype=np.float64))
+        c1 = _dot(u, H) / sum_in if sum_in > 0 else global_mean
+        c2 = _dot(u, not_H) / sum_out if sum_out > 0 else global_mean
     return RegionStats(
         c1=c1,
         c2=c2,
@@ -140,32 +147,6 @@ def region_averages(u: np.ndarray, phi: np.ndarray, *,
         n_outside=n_out,
         max_intensity=max_intensity,
     )
-
-
-def weighted_averages(u: np.ndarray, phi: np.ndarray, stats: RegionStats,
-                      eps: float, *, scratch: Optional[Scratch] = None
-                      ) -> tuple[RegionStats, np.ndarray]:
-    """The region constants that minimize the region energies at fixed phi
-    (Chan & Vese 2001, eq. 6): c1 = sum(u H) / sum(H) and
-    c2 = sum(u (1 - H)) / sum(1 - H), with H = heaviside_eps(phi, eps).
-
-    Returns ``stats`` with c1 and c2 replaced, and H, so that the energy at
-    the same phi need not compute it again. H and 1 - H are written into
-    arrays 0 and 1 of ``scratch`` (a fresh set when None), and the H
-    returned is array 0 of that set; energy_region can take array 1 as
-    not_H. Pixel counts stay those of the hard partition in ``stats``. A
-    weight sum is 0 only when that region is empty, since H_eps >= 1/2
-    where phi >= 0 and 1 - H_eps >= 1/2 where phi < 0; its constant then
-    stays the one of ``stats``, which region_averages sets to the global
-    mean.
-    """
-    H, not_H = Scratch.ensure(scratch, phi).arrays[:2]
-    heaviside_eps(phi, eps, out=H)
-    rowwise(_complement_rows, not_H, H)
-    sum_in, sum_out = float(H.sum(dtype=np.float64)), float(not_H.sum(dtype=np.float64))
-    c1 = _dot(u, H) / sum_in if sum_in > 0 else stats.c1
-    c2 = _dot(u, not_H) / sum_out if sum_out > 0 else stats.c2
-    return replace(stats, c1=c1, c2=c2), H
 
 
 def _complement_rows(not_H, H):

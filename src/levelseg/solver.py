@@ -4,11 +4,11 @@ an energy trace, and a windowed stopping rule on the motion of the zero level.
 
 The loop has one model branch: the geodesic flow, or the region model whose
 constants models.region_terms gives for Chan-Vese or the modified model.
-The region models step with the H_eps-weighted constants that minimize their
-energy at fixed phi, so the traced energy does not rise between
-reinitializations. The loop calls the array kernels of the models under
-np.errstate: a phi that overflows ends the run as 'stalled' instead of
-raising or warning.
+The region models step with the H_eps-weighted constants of
+models.region_averages, which minimize their energy at fixed phi, so the
+traced energy does not rise between reinitializations. The loop calls the
+array kernels of the models under np.errstate: a phi that overflows ends
+the run as 'stalled' instead of raising or warning.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import numpy as np
 from . import levelset
 from .grid import (
     ScalarField, Scratch, _all_finite, gaussian_smooth, gradient_magnitude, rowwise)
-# evolve calls geodesic_rhs and region_rhs; mask_inside and the wrappers
-# chan_vese_rhs, modified_rhs, energy_chan_vese and energy_modified are not
-# called here, but stay importable from this module, where
-# perfbench/tracer.py looks them up
+# evolve calls region_averages and the rhs and energy of its model's branch;
+# mask_inside and the wrappers chan_vese_rhs, modified_rhs, energy_chan_vese
+# and energy_modified are not called here, but stay importable from this
+# module, where perfbench/tracer.py looks them up
 from .levelset import (  # noqa: F401
     Contour, edge_crossings, extract_contour, mask_inside, reinitialize)
 from .models import (  # noqa: F401
@@ -41,7 +41,6 @@ from .models import (  # noqa: F401
     region_averages,
     region_rhs,
     region_terms,
-    weighted_averages,
 )
 
 # an iteration is still when the zero crossings on the grid edges moved less
@@ -61,8 +60,8 @@ class TraceEntry:
     """One row of the energy trace. c_inside and c_outside are the first two
     of models.region_terms: c1 for Chan-Vese or the fixed alpha*M target for
     the modified model, then c2; both are None for geodesic runs. c1 and c2
-    are the H_eps-weighted means of models.weighted_averages, not the binary
-    means of region_averages. event marks the steps that reinitialized.
+    are the H_eps-weighted means of models.region_averages with eps, not
+    its plain means. event marks the steps that reinitialized.
     moved is the stop rule's interface motion in px (None on row 0), and
     n_inside and crossings count phi >= 0 pixels and zero-crossing edges.
     """
@@ -156,15 +155,15 @@ def _edge_image(u: np.ndarray, spacing: float, scratch: Scratch) -> np.ndarray:
 def _stats_and_energy(model, u, u_model, phi, params, h, scratch):
     """Region stats of phi, the region_terms of a region model (None for the
     geodesic flow) and the energy at phi, with ``scratch`` as work space.
-    The region models get the H_eps-weighted constants, and their energy
-    reuses that H_eps and 1 - H_eps, which weighted_averages leaves in
-    arrays 0 and 1 of the set."""
-    stats = region_averages(u, phi, scratch=scratch)
+    The region models get the H_eps-weighted constants of region_averages
+    with eps, and their energy reuses the H_eps and 1 - H_eps that it
+    leaves in arrays 0 and 1 of the set."""
     if model == "geodesic":
-        return stats, None, energy_geodesic(u_model, phi, params, h, scratch=scratch)
-    stats, H = weighted_averages(u, phi, stats, params.eps, scratch=scratch)
+        return (region_averages(u, phi, scratch=scratch), None,
+                energy_geodesic(u_model, phi, params, h, scratch=scratch))
+    stats = region_averages(u, phi, params.eps, scratch=scratch)
     terms = region_terms(model, stats, params)
-    return stats, terms, energy_region(u, phi, *terms, params, h, H=H,
+    return stats, terms, energy_region(u, phi, *terms, params, h, H=scratch.arrays[0],
                                        not_H=scratch.arrays[1], scratch=scratch)
 
 
@@ -189,7 +188,8 @@ def evolve(model: str, u0: ScalarField, phi0: ScalarField,
     of the run's grid, region constants refreshed every iteration,
     reinitialization every ``reinit_every`` steps, and an energy entry per
     iteration. The region models use the H_eps-weighted constants of
-    models.weighted_averages, which minimize their energy at fixed phi.
+    models.region_averages with eps, which minimize their energy at fixed
+    phi.
 
     An iteration is still when the zero crossings of phi on the grid edges
     (levelset.edge_crossings, the contour's vertices) moved less than

@@ -26,7 +26,6 @@ from levelseg.models import (
     region_averages,
     region_rhs,
     region_terms,
-    weighted_averages,
 )
 from levelseg.solver import evolve
 
@@ -91,7 +90,7 @@ class TestRegionAverages:
         phi = disk_sdf(12, 12, 6, 6, 2.0)
         stats = region_averages(u0, phi)
         assert stats.c1 == pytest.approx(7.0) and stats.c2 == pytest.approx(7.0)
-        assert not stats.empty_inside and not stats.empty_outside
+        assert stats.n_inside != 0 and stats.n_outside != 0
 
     def test_aligned_disk_exact(self):
         u0 = disk_image()
@@ -105,16 +104,18 @@ class TestRegionAverages:
     def test_empty_outside_falls_back_to_global_mean(self):
         u0 = disk_image()
         stats = region_averages(u0, np.ones((64, 64)))
-        assert stats.empty_outside and not stats.empty_inside
+        assert stats.n_outside == 0 and stats.n_inside != 0
         assert stats.c2 == pytest.approx(float(u0.mean()))
-        assert stats.n_outside == 0
 
-    @pytest.mark.parametrize("n_inside, n_outside", [(0, 12), (12, 0), (0, 0), (5, 7)])
-    def test_empty_flags_read_the_counts(self, n_inside, n_outside):
-        stats = RegionStats(c1=0.5, c2=0.5, n_inside=n_inside, n_outside=n_outside,
-                            max_intensity=1.0)
-        assert stats.empty_inside == (n_inside == 0)
-        assert stats.empty_outside == (n_outside == 0)
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["all_inside", "all_outside"])
+    def test_empty_region_weighted_constant_is_the_global_mean(self, sign):
+        # H_eps rounds to exactly 1 (all inside) or 0 (all outside), so the
+        # empty region's weight sum is 0
+        u0 = disk_image()
+        stats = region_averages(u0, np.full((64, 64), sign * 1e300), 1.0)
+        assert (stats.n_inside, stats.n_outside) == ((4096, 0) if sign > 0 else (0, 4096))
+        assert stats.c1 == pytest.approx(float(u0.mean()), rel=1e-12)
+        assert stats.c2 == pytest.approx(float(u0.mean()), rel=1e-12)
 
     @pytest.mark.parametrize("phi", [np.zeros((8, 9))], ids=["shape"])
     def test_dimension_mismatch(self, phi):
@@ -516,13 +517,12 @@ class TestRegionStepInTheWorkSet:
         for seed in range(5):
             u0, phi = random_fields(seed)
             c1, c2, H = weighted_averages_reference(u0, phi, 1.3)
-            for work in (None, scratch):
-                stats, got = weighted_averages(u0, phi, region_averages(u0, phi), 1.3,
-                                               scratch=work)
+            for work in (Scratch((31, 47)), scratch):
+                stats = region_averages(u0, phi, 1.3, scratch=work)
+                got = work.arrays[0]
                 assert (stats.c1, stats.c2) == (c1, c2)
                 assert got.tobytes() == H.tobytes()
-            # H is returned in the set, and the energy reads it as it is
-            assert got is scratch.arrays[0]
+            # H is left in the set, and the energy reads it as it is
             before = got.copy()
             energy = energy_region(u0, phi, stats.c1, stats.c2, 1.0, EvolveParams(eps=1.3),
                                    H=got, scratch=scratch)
@@ -542,8 +542,8 @@ class TestRegionStepInTheWorkSet:
             c1, c2 = region_means_reference(u0, phi)
             assert stats.c1 == pytest.approx(c1, rel=1e-12, abs=1e-15)
             assert stats.c2 == pytest.approx(c2, rel=1e-12, abs=1e-15)
-            assert stats.empty_inside == (case == "all_outside")
-            assert stats.empty_outside == (case == "all_inside")
+            assert (stats.n_inside == 0) == (case == "all_outside")
+            assert (stats.n_outside == 0) == (case == "all_inside")
             assert stats.n_inside + stats.n_outside == u0.size
 
     def test_stats_and_energy_allocate_no_phi_sized_temporaries(self):
@@ -558,10 +558,9 @@ class TestRegionStepInTheWorkSet:
         scratch = Scratch(phi.shape)
 
         def stats_and_energy():
-            stats, H = weighted_averages(u0, phi, region_averages(u0, phi), params.eps,
-                                         scratch=scratch)
-            return energy_region(u0, phi, stats.c1, stats.c2, 1.0, params, H=H,
-                                 scratch=scratch)
+            stats = region_averages(u0, phi, params.eps, scratch=scratch)
+            return energy_region(u0, phi, stats.c1, stats.c2, 1.0, params,
+                                 H=scratch.arrays[0], scratch=scratch)
 
         def rhs():
             return region_rhs(u0, phi, 0.7, 0.3, 1.0, params, scratch=scratch)
@@ -619,18 +618,18 @@ class TestRunMemo:
                                             ("modified", 1.0)])
     def test_reused_set_across_region_steps(self, model, lam):
         # the solver's order: stats and energy at phi, then the rhs with
-        # the same terms, then a step; the energy's 1 - H is weighted_averages'
+        # the same terms, then a step; the energy's H and 1 - H are region_averages'
         u0 = self.images()[0]
         phi = disk_sdf(40, 24, 18.0, 11.0, 6.0)
         params = EvolveParams(mu=0.3, lam=lam)
         scratch = Scratch(phi.shape)
         for _ in range(6):
-            stats = region_averages(u0, phi, scratch=scratch)
-            assert stats == region_averages(u0, phi)
-            stats, H = weighted_averages(u0, phi, stats, params.eps, scratch=scratch)
+            assert region_averages(u0, phi, scratch=scratch) == region_averages(u0, phi)
+            stats = region_averages(u0, phi, params.eps, scratch=scratch)
+            assert stats == region_averages(u0, phi, params.eps)
             terms = region_terms(model, stats, params)
-            energy = energy_region(u0, phi, *terms, params, H=H, not_H=scratch.arrays[1],
-                                   scratch=scratch)
+            energy = energy_region(u0, phi, *terms, params, H=scratch.arrays[0],
+                                   not_H=scratch.arrays[1], scratch=scratch)
             assert energy == energy_region(u0, phi, *terms, params)
             rhs = region_rhs(u0, phi, *terms, params, scratch=scratch)
             assert rhs.tobytes() == region_rhs(u0, phi, *terms, params).tobytes()

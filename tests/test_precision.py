@@ -28,7 +28,6 @@ from levelseg.models import (
     geodesic_rhs,
     region_averages,
     region_rhs,
-    weighted_averages,
 )
 from levelseg.solver import evolve
 
@@ -127,7 +126,9 @@ def test_weighted_averages_accumulate_in_float64():
     rng = np.random.default_rng(4)
     u = rng.uniform(0.5, 1.0, size=(256, 256)).astype(np.float32)
     phi = rng.uniform(-3.0, 3.0, size=(256, 256)).astype(np.float32)
-    stats, H = weighted_averages(u, phi, region_averages(u, phi), 1.0)
+    scratch = Scratch(phi.shape, phi.dtype)
+    stats = region_averages(u, phi, 1.0, scratch=scratch)
+    H = scratch.arrays[0]
     assert H.dtype == np.float32
     not_H = np.float32(1.0) - H
     c1 = math.fsum((u.astype(np.float64) * H).ravel().tolist()) / exact_sum(H)

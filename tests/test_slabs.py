@@ -43,7 +43,6 @@ from levelseg.models import (
     geodesic_rhs,
     region_averages,
     region_rhs,
-    weighted_averages,
 )
 from levelseg.solver import evolve
 
@@ -96,11 +95,10 @@ def outputs(kernel, u0, phi):
     elif kernel == "reinitialize":
         got = [reinitialize(phi, 12, h, scratch=scratch)]
     elif kernel == "region":
-        stats, H = weighted_averages(u0, phi, region_averages(u0, phi), params.eps,
-                                     scratch=scratch)
+        stats = region_averages(u0, phi, params.eps, scratch=scratch)
         rhs = region_rhs(u0, phi, stats.c1, stats.c2, params.lam, params, h, scratch=scratch)
-        energy = energy_region(u0, phi, stats.c1, stats.c2, params.lam, params, h, H=H,
-                               scratch=scratch)
+        energy = energy_region(u0, phi, stats.c1, stats.c2, params.lam, params, h,
+                               H=scratch.arrays[0], scratch=scratch)
         got = [rhs, np.array([stats.c1, stats.c2, energy])]
     elif kernel == "geodesic":
         rhs = geodesic_rhs(smooth, phi, params, h, scratch=scratch)

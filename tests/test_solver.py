@@ -659,12 +659,36 @@ class TestRegionConstants:
         u0 = normalized_disk()
         phi0 = ScalarField(np.full((64, 64), -1e300))
         res = evolve("chan_vese", u0, phi0, EvolveParams(max_iters=0))
-        assert res.stats_final.empty_inside
+        assert res.stats_final.n_inside == 0
         assert res.stats_final.c1 == pytest.approx(u0.data.mean())
         # and H rounds to exactly 1, so the outside weight sum is 0
         res = evolve("chan_vese", u0, ScalarField(-phi0.data), EvolveParams(max_iters=0))
-        assert res.stats_final.empty_outside and not res.stats_final.empty_inside
+        assert res.stats_final.n_outside == 0 and res.stats_final.n_inside != 0
         assert res.stats_final.c2 == pytest.approx(u0.data.mean())
+
+
+    @pytest.mark.parametrize("model, dots", [("chan_vese", 5), ("modified", 5),
+                                             ("geodesic", 3)])
+    def test_each_step_reads_u_once_per_weight(self, model, dots, monkeypatch):
+        # a step's constants are two dot products of u, with the H_eps weights
+        # of a region model or the masks of the geodesic flow, and its energy
+        # three more (region) or one (geodesic); 40 steps against 5 leave
+        # out row 0 and the run's set-up
+        calls = []
+        dot = models._dot
+
+        def counted(a, b):
+            calls[-1] += 1
+            return dot(a, b)
+
+        monkeypatch.setattr(models, "_dot", counted)
+        u0 = normalized_disk()
+        phi0 = signed_distance(InitShape.circle(30, 33, 8), 64, 64)
+        for max_iters in (5, 40):
+            calls.append(0)
+            res = evolve(model, u0, phi0, EvolveParams(max_iters=max_iters, stop_tol=0.0))
+            assert res.iterations_run == max_iters
+        assert calls[1] - calls[0] == 35 * dots
 
 
 class TestTraceRows:
